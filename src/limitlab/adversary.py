@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
-from .languages import ConfigError, Language
+from .languages import ConfigError, Language, config_field
 
 STRATEGY_NAMES = ("canonical", "repeat_heavy", "block_shuffle", "delay_pattern")
 
@@ -70,21 +70,24 @@ class Strategy:
         return {"strategy": self.name, "seed": self.seed, "params": params}
 
     @classmethod
-    def from_config(cls, config: dict) -> "Strategy":
+    def from_config(cls, config: Mapping) -> "Strategy":
         name = config.get("strategy", "canonical")
-        seed = config.get("seed", 0)
-        params = config.get("params") or {}
+        params = config_field(config, "params", Mapping, {})
         kwargs: dict = {}
         if name == "repeat_heavy":
             prob = params.get("repeat_prob", [1, 2])
-            if not (isinstance(prob, (list, tuple)) and len(prob) == 2):
-                raise ConfigError("repeat_prob must be a [numerator, denominator] pair")
-            kwargs = {"repeat_num": int(prob[0]), "repeat_den": int(prob[1])}
+            if not (
+                isinstance(prob, (list, tuple))
+                and len(prob) == 2
+                and all(type(p) is int for p in prob)
+            ):
+                raise ConfigError("repeat_prob must be a [numerator, denominator] integer pair")
+            kwargs = {"repeat_num": prob[0], "repeat_den": prob[1]}
         elif name == "block_shuffle":
-            kwargs = {"block_growth": int(params.get("block_growth", 1))}
+            kwargs = {"block_growth": config_field(params, "block_growth", int, 1)}
         elif name == "delay_pattern":
-            kwargs = {"period": int(params.get("period", 1))}
-        return cls(name=name, seed=int(seed), **kwargs)
+            kwargs = {"period": config_field(params, "period", int, 1)}
+        return cls(name=name, seed=config_field(config, "seed", int, 0), **kwargs)
 
 
 class _Cursor:

@@ -16,8 +16,9 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .adversary import Strategy
+from .adversary import STRATEGY_NAMES, Strategy
 from .harness import (
+    DETECTION_ALGORITHMS,
     GameScenario,
     RunOutcome,
     check_angluin,
@@ -30,9 +31,8 @@ from .harness import (
     scenario_from_config,
     sweep_to_csv,
     transcript_to_jsonl,
-    validate_scenario,
 )
-from .identifiers import Inapplicable
+from .identifiers import IDENTIFIER_NAMES, Inapplicable
 from .languages import (
     CandidateSet,
     Collection,
@@ -114,20 +114,23 @@ def parse_candidate_flag(
 
 
 def _strategy_from_args(args: argparse.Namespace) -> Strategy:
-    kwargs: dict = {}
+    params: dict = {"block_growth": args.block_growth, "period": args.period}
     if args.strategy == "repeat_heavy":
         num, _, den = args.repeat_prob.partition("/")
         try:
-            kwargs = {"repeat_num": int(num), "repeat_den": int(den)}
+            params["repeat_prob"] = [int(num), int(den)]
         except ValueError:
             raise ConfigError(
                 f"--repeat-prob wants numerator/denominator, got {args.repeat_prob!r}"
             ) from None
-    elif args.strategy == "block_shuffle":
-        kwargs = {"block_growth": args.block_growth}
-    elif args.strategy == "delay_pattern":
-        kwargs = {"period": args.period}
-    return Strategy(name=args.strategy, seed=args.seed, **kwargs)
+    return Strategy.from_config({"strategy": args.strategy, "seed": args.seed, "params": params})
+
+
+def _load_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: not a readable JSON file ({exc})") from None
 
 
 def _write(path: Path, text: str) -> None:
@@ -156,8 +159,7 @@ def _emit_run(outcome: RunOutcome, out_dir: Path) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     collections = catalog()
     if args.scenario:
-        config = json.loads(Path(args.scenario).read_text())
-        scenario = scenario_from_config(config, collections)
+        scenario = scenario_from_config(_load_json(args.scenario), collections)
     else:
         if not args.collection or args.target is None:
             raise ConfigError("run: need --scenario FILE, or --collection and --target")
@@ -167,36 +169,27 @@ def cmd_run(args: argparse.Namespace) -> int:
             if not args.g:
                 raise ConfigError("run: detection needs a candidate via --g")
             candidate = parse_candidate_flag(args.g, collection, collections)
-            scenario = GameScenario(
-                scenario_id=args.id,
-                collection_id=args.collection,
-                target_index=args.target,
-                algorithm=args.detector,
-                candidate=candidate,
-                identifier=args.identifier,
-                strategy=strategy,
-                horizon=args.horizon,
-            )
+            game = dict(algorithm=args.detector, candidate=candidate, identifier=args.identifier)
         elif args.identifier:
             if args.g:
                 raise ConfigError("run: identification games take no --g")
-            scenario = GameScenario(
-                scenario_id=args.id,
-                collection_id=args.collection,
-                target_index=args.target,
-                algorithm=args.identifier,
-                strategy=strategy,
-                horizon=args.horizon,
-            )
+            game = dict(algorithm=args.identifier)
         else:
             raise ConfigError("run: pick an algorithm via --detector or --identifier")
-        validate_scenario(scenario, collections)
+        scenario = GameScenario(
+            scenario_id=args.id,
+            collection_id=args.collection,
+            target_index=args.target,
+            strategy=strategy,
+            horizon=args.horizon,
+            **game,
+        )
     return _emit_run(run_game(scenario, collections), Path(args.out))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     collections = catalog()
-    config = json.loads(Path(args.scenarios).read_text())
+    config = _load_json(args.scenarios)
     entries = config.get("scenarios") if isinstance(config, dict) else config
     if not isinstance(entries, list):
         raise ConfigError("sweep: scenario file must hold a 'scenarios' list")
@@ -239,8 +232,7 @@ def cmd_check_angluin(args: argparse.Namespace) -> int:
     collection = resolve_collection(args.collection, collections)
     telltale: Optional[list[int]] = None
     if args.telltale is not None:
-        text = args.telltale.strip()
-        telltale = [int(part) for part in text.split(",")] if text else []
+        telltale = _parse_elements(f"{{{args.telltale}}}")
     bounds = DEFAULT_CHECK_BOUNDS
     if args.bounds:
         try:
@@ -263,9 +255,12 @@ def cmd_check_angluin(args: argparse.Namespace) -> int:
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     for collection in catalog().values():
-        telltales = "yes" if collection.has_telltales else "no"
-        if collection.id == "finite_plus_all":
+        if not collection.has_telltales:
+            telltales = "no"
+        elif collection.telltale(1) is None:
             telltales = "partial (none for index 1)"
+        else:
+            telltales = "yes"
         print(f"{collection.id}: {collection.description} [tell-tales: {telltales}]")
     return 0
 
@@ -281,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--collection", help="catalog collection id")
         p.add_argument("--target", type=int, help="index of the target language")
         p.add_argument("--strategy", default="canonical",
-                       choices=["canonical", "repeat_heavy", "block_shuffle", "delay_pattern"])
+                       choices=STRATEGY_NAMES)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--repeat-prob", default="1/2", help="repeat_heavy probability, e.g. 1/2")
         p.add_argument("--block-growth", type=int, default=2)
@@ -293,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(run, horizon=1000)
     run.add_argument("--scenario", help="scenario file (JSON), instead of inline flags")
     run.add_argument("--g", help="candidate set: lang:<i>[+{..}|-{..}], set:{..}, all, empty")
-    run.add_argument("--detector", choices=["negex", "alg1"])
-    run.add_argument("--identifier", choices=["telltale", "consistency_min"])
+    run.add_argument("--detector", choices=DETECTION_ALGORITHMS)
+    run.add_argument("--identifier", choices=IDENTIFIER_NAMES)
     run.add_argument("--id", default="cli-run", help="scenario id for output files")
     run.set_defaults(func=cmd_run)
 

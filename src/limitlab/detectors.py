@@ -95,6 +95,3 @@ class NegativeExampleDetector:
         verdict = 0 if self.hallucination_witness is not None else 1
         self.verdicts.append(verdict)
         return verdict
-
-
-DETECTOR_NAMES = ("alg1", "negex")

@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import RNG_ALGORITHM, EnumerationStream, LabeledStream, Strategy
@@ -37,6 +38,7 @@ from .languages import (
     candidate_subset_of,
     candidate_to_config,
     catalog,
+    config_field,
     domain_candidate,
     empty_candidate,
     language_candidate,
@@ -48,6 +50,9 @@ from .reduction import ReductionIdentifier, RoundState
 ALGORITHM_NAMES = ("telltale", "consistency_min", "negex", "alg1", "alg2")
 IDENTIFICATION_ALGORITHMS = ("telltale", "consistency_min", "alg2")
 DETECTION_ALGORITHMS = ("negex", "alg1")
+
+# Scenario ids name output files, so they may not hold path separators.
+SCENARIO_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,14 @@ class StabilizationReport:
     correct_at_horizon: bool
 
 
+def _report_fields(report: Optional[StabilizationReport]) -> dict:
+    """The report's fields by name, all None when the run has no report."""
+    return {
+        f.name: None if report is None else getattr(report, f.name)
+        for f in fields(StabilizationReport)
+    }
+
+
 @dataclass
 class RunOutcome:
     scenario: GameScenario
@@ -126,8 +139,9 @@ def analyze_stabilization(
 def validate_scenario(
     scenario: GameScenario, collections: Mapping[str, Collection]
 ) -> Collection:
-    if not scenario.scenario_id:
-        raise ConfigError("scenario_id: must be nonempty")
+    sid = scenario.scenario_id
+    if not SCENARIO_ID_PATTERN.fullmatch(sid):
+        raise ConfigError(f"scenario_id: {sid!r} must match {SCENARIO_ID_PATTERN.pattern}")
     collection = resolve_collection(scenario.collection_id, collections)
     collection.language(scenario.target_index)
     if scenario.horizon < 1:
@@ -521,14 +535,7 @@ class RoundtripResult:
 
     def to_dict(self) -> dict:
         def leg(outcome: RunOutcome) -> dict:
-            report = outcome.report
-            return {
-                "status": outcome.status,
-                "stabilized": None if report is None else report.stabilized,
-                "t_star": None if report is None else report.t_star,
-                "final_output": None if report is None else report.final_output,
-                "correct_at_horizon": None if report is None else report.correct_at_horizon,
-            }
+            return {"status": outcome.status, **_report_fields(outcome.report)}
 
         return {
             "collection": self.collection_id,
@@ -790,17 +797,17 @@ def scenario_from_config(
     config: Mapping, collections: Optional[Mapping[str, Collection]] = None
 ) -> GameScenario:
     collections = catalog() if collections is None else collections
-    try:
-        collection_id = config["collection"]
-        target_index = config["target_index"]
-        algorithm = config["algorithm"]
-    except (KeyError, TypeError):
-        raise ConfigError(
-            "scenario: needs collection, target_index and algorithm fields"
-        ) from None
+    if not isinstance(config, Mapping) or not all(
+        key in config for key in ("collection", "target_index", "algorithm")
+    ):
+        raise ConfigError("scenario: needs collection, target_index and algorithm fields")
+    collection_id = config_field(config, "collection", str)
+    algorithm = config["algorithm"]
     if isinstance(algorithm, str):
-        algorithm = {"name": algorithm, "params": {}}
-    params = algorithm.get("params") or {}
+        algorithm = {"name": algorithm}
+    elif not isinstance(algorithm, Mapping):
+        raise ConfigError(f"algorithm: expected a name or an object, got {algorithm!r}")
+    params = config_field(algorithm, "params", Mapping, {})
     if params.get("detector") not in (None, "alg1"):
         raise ConfigError(
             "algorithm: the reduction consumes positive examples only; "
@@ -813,15 +820,15 @@ def scenario_from_config(
         else candidate_from_config(candidate_config, collections, collection_id)
     )
     scenario = GameScenario(
-        scenario_id=str(config.get("scenario_id", "")),
+        scenario_id=config_field(config, "scenario_id", str, ""),
         collection_id=collection_id,
-        target_index=target_index,
+        target_index=config["target_index"],
         algorithm=algorithm.get("name", ""),
         candidate=candidate,
         identifier=params.get("identifier"),
         fresh_copies=bool(params.get("fresh_copies", False)),
-        strategy=Strategy.from_config(config.get("adversary") or {}),
-        horizon=int(config.get("horizon", 1000)),
+        strategy=Strategy.from_config(config_field(config, "adversary", Mapping, {})),
+        horizon=config_field(config, "horizon", int, 1000),
     )
     validate_scenario(scenario, collections)
     return scenario
@@ -867,16 +874,12 @@ def transcript_to_jsonl(outcome: RunOutcome) -> str:
 
 
 def report_to_dict(outcome: RunOutcome) -> dict:
-    report = outcome.report
     return {
         "scenario": scenario_to_config(outcome.scenario),
         "status": outcome.status,
         "detail": outcome.detail,
         "rng_algorithm": RNG_ALGORITHM,
         "ground_truth_subset": outcome.ground_truth_subset,
-        "stabilized": None if report is None else report.stabilized,
-        "t_star": None if report is None else report.t_star,
-        "final_output": None if report is None else report.final_output,
-        "correct_at_horizon": None if report is None else report.correct_at_horizon,
+        **_report_fields(outcome.report),
         "queries": outcome.ledger.totals_by_purpose(),
     }

@@ -1,123 +1,123 @@
 """Online identifiers: guess an index of the hidden target language.
 
-Both identifiers keep the set of distinct elements seen so far and cap
-their candidate indices at the current step count, so every step makes
-finitely many oracle calls. The tell-tale identifier guesses the least
-in-range index whose tell-tale has fully appeared and whose language
-contains everything seen; the consistency-min identifier drops the
-tell-tale requirement, which is exactly what makes it fail on
-collections with an early always-consistent superset.
+Both identifiers, and the reduction, keep a ``ConsistentIndices`` set
+whose candidate indices are capped at the current step count, so every
+step makes finitely many oracle calls. The tell-tale identifier guesses
+the least consistent index whose tell-tale has fully appeared; the
+consistency-min identifier uses the empty tell-tale for every index,
+which is exactly what makes it fail on collections with an early
+always-consistent superset.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .languages import Collection, CollectionOracle
+from .languages import Collection, CollectionOracle, ConfigError
 
 
 class Inapplicable(RuntimeError):
     """The algorithm's oracle requirements are not met for this run."""
 
 
-class TelltaleIdentifier:
-    """Identification by enumeration over tell-tale certified candidates.
+class ConsistentIndices:
+    """Seen elements, and the admitted indices whose language holds them all.
 
-    Guess at step t: the least index i <= t with telltale(i) contained in
-    the seen set and every seen element in L_i, else 1. Subset checks go
-    through the ledgered oracle and are cached per (index, element);
-    once an index fails containment it is dead for good, since the seen
-    set only grows.
+    ``admit`` vets an index against the seen list once; ``see`` checks
+    survivors only against a newly seen element. Consistency is antitone
+    in the seen set, which only grows, so a dropped index never returns.
+    In round t the survivors lie below t and at most t elements have been
+    seen, so seeing w and admitting t cost at most (t-1) + t = 2t-1 queries.
     """
 
-    name = "telltale"
+    __slots__ = ("_oracle", "seen_list", "seen", "alive")
+
+    def __init__(self, oracle: CollectionOracle) -> None:
+        self._oracle = oracle
+        self.seen_list: list[int] = []
+        self.seen: set[int] = set()
+        self.alive: set[int] = set()
+
+    def see(self, w: int) -> bool:
+        """Record w; drop the survivors that miss it. True when w is new."""
+        if w in self.seen:
+            return False
+        self.seen.add(w)
+        self.seen_list.append(w)
+        member = self._oracle.member
+        self.alive.difference_update([i for i in self.alive if not member(i, w)])
+        return True
+
+    def admit(self, index: int) -> None:
+        member = self._oracle.member
+        for x in self.seen_list:
+            if not member(index, x):
+                return
+        self.alive.add(index)
+
+    def least(self) -> int:
+        return min(self.alive) if self.alive else 1
+
+
+class _IndexIdentifier:
+    """Guess at step t: the least index i <= t whose tell-tale lies in
+    the seen set and whose language contains every seen element, else 1.
+
+    An index whose tell-tale is still incomplete waits, filed under one
+    missing element, and is admitted when that element shows up.
+    Subclasses give the tell-tale rule as ``_telltale(index)``.
+    """
 
     def __init__(self, collection: Collection, oracle: CollectionOracle) -> None:
         self._collection = collection
-        self._oracle = oracle
         self.t = 0
-        self._seen_list: list[int] = []
-        self._seen: set[int] = set()
-        self._alive: set[int] = set()
-        # index -> telltale elements not seen yet, filed under one of them
+        self._indices = ConsistentIndices(oracle)
+        # missing telltale element -> (index, telltale) pairs waiting on it
         self._waiting: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         self.guesses: list[int] = []
 
     @property
     def seen(self) -> frozenset:
-        return frozenset(self._seen)
+        return frozenset(self._indices.seen)
 
     def _admit(self, index: int, telltale: tuple[int, ...]) -> None:
         for element in telltale:
-            if element not in self._seen:
+            if element not in self._indices.seen:
                 self._waiting.setdefault(element, []).append((index, telltale))
                 return
-        member = self._oracle.member
-        for x in self._seen_list:
-            if not member(index, x):
-                return  # dead: containment can only get worse
-        self._alive.add(index)
+        self._indices.admit(index)
 
     def step(self, w: int) -> int:
         self.t += 1
-        is_new = w not in self._seen
+        is_new = self._indices.see(w)
+        self._admit(self.t, self._telltale(self.t))
         if is_new:
-            self._seen.add(w)
-            self._seen_list.append(w)
-            member = self._oracle.member
-            dead = [i for i in self._alive if not member(i, w)]
-            self._alive.difference_update(dead)
-        telltale = self._collection.telltale(self.t)
-        if telltale is None:
-            raise Inapplicable(
-                f"collection {self._collection.id!r} has no tell-tale for index {self.t}"
-            )
-        self._admit(self.t, telltale)
-        if is_new:
-            for index, tt in self._waiting.pop(w, ()):
-                self._admit(index, tt)
-        guess = min(self._alive) if self._alive else 1
+            for index, telltale in self._waiting.pop(w, ()):
+                self._admit(index, telltale)
+        guess = self._indices.least()
         self.guesses.append(guess)
         return guess
 
 
-class ConsistencyMinIdentifier:
-    """Guess the least in-range index consistent with everything seen.
+class TelltaleIdentifier(_IndexIdentifier):
+    """Identification by enumeration over tell-tale certified candidates."""
 
-    Tracks the surviving consistent indices incrementally: a new index is
-    vetted against the whole seen set once, survivors only against newly
-    seen elements. Consistency is antitone, so dropped indices never
-    return.
-    """
+    name = "telltale"
+
+    def _telltale(self, index: int) -> tuple[int, ...]:
+        telltale = self._collection.telltale(index)
+        if telltale is None:
+            raise Inapplicable(
+                f"collection {self._collection.id!r} has no tell-tale for index {index}"
+            )
+        return telltale
+
+
+class ConsistencyMinIdentifier(_IndexIdentifier):
+    """Guess the least in-range index consistent with everything seen."""
 
     name = "consistency_min"
 
-    def __init__(self, collection: Collection, oracle: CollectionOracle) -> None:
-        self._collection = collection
-        self._oracle = oracle
-        self.t = 0
-        self._seen_list: list[int] = []
-        self._seen: set[int] = set()
-        self._alive: set[int] = set()
-        self.guesses: list[int] = []
-
-    @property
-    def seen(self) -> frozenset:
-        return frozenset(self._seen)
-
-    def step(self, w: int) -> int:
-        self.t += 1
-        member = self._oracle.member
-        if w not in self._seen:
-            self._seen.add(w)
-            self._seen_list.append(w)
-            dead = [i for i in self._alive if not member(i, w)]
-            self._alive.difference_update(dead)
-        if all(member(self.t, x) for x in self._seen_list):
-            self._alive.add(self.t)
-        guess = min(self._alive) if self._alive else 1
-        self.guesses.append(guess)
-        return guess
+    def _telltale(self, index: int) -> tuple[int, ...]:
+        return ()
 
 
 IDENTIFIER_NAMES = ("telltale", "consistency_min")
@@ -128,6 +128,4 @@ def make_identifier(name: str, collection: Collection, oracle: CollectionOracle)
         return TelltaleIdentifier(collection, oracle)
     if name == "consistency_min":
         return ConsistencyMinIdentifier(collection, oracle)
-    from .languages import ConfigError
-
     raise ConfigError(f"unknown identifier {name!r} (known: {', '.join(IDENTIFIER_NAMES)})")

@@ -35,6 +35,22 @@ PURPOSE_DETECTOR = "detector"
 PURPOSES = (PURPOSE_CANDIDATE, PURPOSE_CONSISTENCY, PURPOSE_DETECTOR)
 
 
+_KIND_NAMES = {int: "an integer", str: "a string", Mapping: "an object"}
+
+
+def config_field(config: Mapping, key: str, kind: type, default=None):
+    """``config[key]`` checked to be an int, a str or a Mapping, per ``kind``.
+
+    An absent or null field gives ``default``. Booleans are not integers.
+    """
+    value = config.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{key}: expected {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def _check_element(x: int) -> None:
     if not isinstance(x, int) or isinstance(x, bool) or x < 1:
         raise ConfigError(f"domain elements are positive integers, got {x!r}")
@@ -259,13 +275,6 @@ def encode_finite_set(elements: Iterable[int]) -> int:
     if mask == 0:
         raise ConfigError("the empty set has no index in this encoding")
     return mask
-
-
-def _least_excluded(elements: frozenset) -> int:
-    x = 1
-    while x in elements:
-        x += 1
-    return x
 
 
 def _multiples_collection() -> Collection:
@@ -546,9 +555,9 @@ def candidate_from_config(
     if not isinstance(config, Mapping) or "kind" not in config:
         raise ConfigError("candidate: expected an object with a 'kind' field")
     kind = config["kind"]
-    params = config.get("params") or {}
+    params = config_field(config, "params", Mapping, {})
     if kind == "language_of":
-        cid = params.get("collection") or default_collection
+        cid = config_field(params, "collection", str) or default_collection
         if not cid:
             raise ConfigError("candidate: language_of needs a collection")
         index = params.get("index")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .identifiers import Inapplicable
+from .identifiers import ConsistentIndices, Inapplicable
 from .languages import Collection, CollectionOracle
 
 DetectorFactory = Callable[[int], object]
@@ -56,15 +56,11 @@ class ReductionIdentifier:
         fresh_copies: bool = False,
         trace_rounds: bool = False,
     ) -> None:
-        self._collection = collection
         self._factory = detector_factory
-        self._consistency = consistency_oracle
+        self._consistent = ConsistentIndices(consistency_oracle)
         self._fresh_copies = fresh_copies
         self.t = 0
         self._prefix: list[int] = []
-        self._seen_list: list[int] = []
-        self._seen: set[int] = set()
-        self._consistent: set[int] = set()
         self._pool: dict[int, object] = {}
         self._inapplicable: set[int] = set()
         self.guesses: list[int] = []
@@ -99,16 +95,9 @@ class ReductionIdentifier:
     def step(self, w: int) -> int:
         t = self.t = self.t + 1
         self._prefix.append(w)
-        member = self._consistency.member
-        if w not in self._seen:
-            self._seen.add(w)
-            self._seen_list.append(w)
-            dead = [i for i in self._consistent if not member(i, w)]
-            self._consistent.difference_update(dead)
-        # Index t enters the candidate range now: one full vetting, after
-        # which it is only ever checked against newly seen elements.
-        if all(member(t, x) for x in self._seen_list):
-            self._consistent.add(t)
+        self._consistent.see(w)
+        self._consistent.admit(t)
+        consistent = self._consistent.alive
         verdicts = []
         for i in range(1, t + 1):
             if i in self._inapplicable:
@@ -118,13 +107,13 @@ class ReductionIdentifier:
             else:
                 verdicts.append(self._pool_verdict(i, w))
         accepted = tuple(
-            i for i in range(1, t + 1) if i in self._consistent and verdicts[i - 1] == 1
+            i for i in range(1, t + 1) if i in consistent and verdicts[i - 1] == 1
         )
         guess = accepted[0] if accepted else 1
         self.guesses.append(guess)
         self.last_round = RoundState(
             t=t,
-            consistent=tuple(sorted(self._consistent)),
+            consistent=tuple(sorted(consistent)),
             verdicts=tuple(verdicts),
             accepted=accepted,
             guess=guess,

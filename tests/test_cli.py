@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitlab import catalog
 from limitlab.cli import main, parse_candidate_flag
@@ -224,3 +225,131 @@ def test_console_entry_point():
         [sys.executable, "-m", "limitlab", "catalog"], capture_output=True, text=True
     )
     assert result.returncode == 0 and "multiples" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# malformed input: validation errors exit 2, never 4
+
+BASE_SCENARIO = {
+    "scenario_id": "base",
+    "collection": "multiples",
+    "target_index": 2,
+    "candidate": {"kind": "language_of", "params": {"index": 4}},
+    "adversary": {"strategy": "block_shuffle", "seed": 1, "params": {"block_growth": 2}},
+    "algorithm": {"name": "alg1", "params": {"identifier": "telltale"}},
+    "horizon": 12,
+}
+
+
+def with_field(path, value, base=BASE_SCENARIO):
+    """A deep copy of base with the field at the key path set to value."""
+    config = json.loads(json.dumps(base))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+def test_scenario_id_cannot_leave_the_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(with_field(("scenario_id",), "../escaped")))
+    code, _, err = run_cli(["run", "--scenario", str(path), "--out", str(out)], capsys)
+    assert code == 2 and "scenario_id" in err
+    code, _, err = run_cli(
+        ["run", "--collection", "multiples", "--target", "2", "--identifier", "telltale",
+         "--horizon", "5", "--id", "../x", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2 and "scenario_id" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json"]
+
+
+BAD_FIELDS = [
+    (("scenario_id",), None),
+    (("algorithm",), ["x"]),
+    (("algorithm",), 7),
+    (("adversary",), "canonical"),
+    (("algorithm", "params"), ["telltale"]),
+    (("adversary", "params"), "x"),
+    (("candidate", "params"), [4]),
+    (("candidate", "params", "collection"), ["multiples"]),
+    (("collection",), ["multiples"]),
+    (("horizon",), "abc"),
+    (("horizon",), 2.5),
+    (("horizon",), True),
+    (("adversary", "seed"), "x"),
+    (("adversary", "params", "block_growth"), "2"),
+    (("adversary", "params", "block_growth"), 1.5),
+    (("adversary",), {"strategy": "delay_pattern", "params": {"period": "x"}}),
+    (("adversary",), {"strategy": "repeat_heavy", "params": {"repeat_prob": ["1", 2]}}),
+    (("adversary",), {"strategy": "repeat_heavy", "params": {"repeat_prob": "1/2"}}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--scenario", "{file}"], ["sweep", "--scenarios", "{file}"]],
+    ids=["run", "sweep"],
+)
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(json.dumps(with_field(path, value)), id=f"{'.'.join(path)}={value!r}")
+        for path, value in BAD_FIELDS
+    ]
+    + ["{not json", "", "\xff", pytest.param("[" * 100_000, id="deep-nesting")],
+)
+def test_malformed_scenario_files_exit_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.json"
+    if argv[0] == "sweep" and text.startswith("{\""):
+        text = '{"scenarios": [' + text + "]}"
+    path.write_bytes(text.encode("latin-1"))  # "\xff" is not UTF-8
+    argv = [arg.replace("{file}", str(path)) for arg in argv]
+    code, _, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 2 and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "{tmp}/missing.json"],
+        ["check-angluin", "--collection", "multiples", "--index", "2", "--telltale", "2,x"],
+        ["check-angluin", "--collection", "multiples", "--index", "2", "--telltale", "0"],
+        ["run", "--collection", "multiples", "--target", "2", "--identifier", "telltale",
+         "--strategy", "repeat_heavy", "--repeat-prob", "1/x"],
+    ],
+)
+def test_malformed_flags_exit_2(tmp_path, capsys, argv):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, _, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 2 and err.startswith("error:"), err
+
+
+def _field_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+FIELD_PATHS = list(_field_paths(BASE_SCENARIO))
+SMALL_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=40)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(FIELD_PATHS), value=SMALL_JSON)
+def test_scenario_field_fuzz_exit_codes(tmp_path_factory, path, value):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "scenario.json").write_text(json.dumps(with_field(path, value)))
+    code = main(["run", "--scenario", str(tmp / "scenario.json"), "--out", str(tmp / "out")])
+    assert code in (0, 2, 3)
