@@ -158,24 +158,18 @@ def validate_scenario(
             raise ConfigError(
                 f"identifier: algorithm {alg!r} requires one of {', '.join(IDENTIFIER_NAMES)}"
             )
-    if alg in IDENTIFICATION_ALGORITHMS and collection.equals is None:
-        raise ConfigError(
-            f"collection {collection.id!r} lacks exact equality; identification "
-            "ground truth is undecidable"
-        )
+    strategy = scenario.strategy
+    if strategy.name == "block_shuffle" and strategy.block_growth > scenario.horizon:
+        # The first block alone holds block_growth elements.
+        raise ConfigError("block_growth: must not exceed the horizon")
     return collection
 
 
 def _transcript_meta(scenario: GameScenario) -> dict:
-    return {
-        "scenario_id": scenario.scenario_id,
-        "collection": scenario.collection_id,
-        "target_index": scenario.target_index,
-        "algorithm": _algorithm_config(scenario),
-        "adversary": scenario.strategy.to_config(),
-        "rng_algorithm": RNG_ALGORITHM,
-        "horizon": scenario.horizon,
-    }
+    meta = scenario_to_config(scenario)
+    del meta["candidate"]
+    meta["rng_algorithm"] = RNG_ALGORITHM
+    return meta
 
 
 def run_game(
@@ -228,7 +222,6 @@ def run_game(
             )
 
         algorithm = ReductionIdentifier(
-            collection,
             factory,
             CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY),
             fresh_copies=scenario.fresh_copies,
@@ -273,8 +266,7 @@ def run_game(
             report = analyze_stabilization(outputs, lambda v: v == expected)
         else:
             k = scenario.target_index
-            equals = collection.equals
-            report = analyze_stabilization(outputs, lambda g: bool(equals(g, k)))
+            report = analyze_stabilization(outputs, lambda g: collection.equals(g, k))
     return RunOutcome(
         scenario=scenario,
         status=status,
@@ -421,6 +413,10 @@ def _strictness_element(
         rank += 1
 
 
+def _proper_subset(collection: Collection, i: int, j: int) -> bool:
+    return collection.subset_of(i, j) and not collection.subset_of(j, i)
+
+
 def check_angluin(
     collection: Collection,
     index: int,
@@ -432,9 +428,8 @@ def check_angluin(
     A violation is an index j whose language contains the tell-tale yet
     is a proper subset of L_index. Collections with a closed-form search
     settle the question for every j; otherwise indices up to bounds[0]
-    are tried, certifying proper subsets through exact relations or, for
-    finite witness languages, full containment plus a strictness element
-    of value at most bounds[1].
+    are tried, certifying proper subsets through the collection's exact
+    relations plus a strictness element of value at most bounds[1].
     """
     index_bound, element_bound = bounds
     if index_bound < 1 or element_bound < 1:
@@ -481,15 +476,8 @@ def check_angluin(
     for j in range(1, index_bound + 1):
         if not all(collection.member(j, x) for x in elements):
             continue
-        other = collection.language(j)
-        if collection.subset_of is not None and collection.equals is not None:
-            if not (collection.subset_of(j, index) and not collection.equals(j, index)):
-                continue
-        elif other.is_finite:
-            if not all(lang.member(x) for x in other.finite_elements()):
-                continue
-        else:
-            continue  # cannot certify properness for this index
+        if not _proper_subset(collection, j, index):
+            continue
         strictness = _strictness_element(collection, index, j, element_bound)
         if strictness is not None:
             return result(VERDICT_VIOLATION, "bounded_search", j, strictness)
@@ -513,7 +501,7 @@ def replay_certificate(collection: Collection, result: AngluinCheckResult) -> bo
     if witness_lang.is_finite:
         return all(collection.member(i, x) for x in witness_lang.finite_elements())
     # Infinite witness language: lean on exact relations, then spot-check.
-    if collection.subset_of is None or not collection.subset_of(j, i):
+    if not collection.subset_of(j, i):
         return False
     probe, _ = witness_lang.first_elements(32)
     return all(collection.member(i, x) for x in probe)
@@ -626,43 +614,26 @@ def run_roundtrip(
 
 def least_nonmember(language: Language) -> Optional[int]:
     """Smallest domain element outside the language, None when it is everything."""
-    if language.kind == "all_of_domain":
+    if candidate_subset_of(domain_candidate(), language):
         return None
-    if language.kind == "multiples":
-        return None if language.modulus == 1 else 1
-    members = set(language.finite_elements())
     x = 1
-    while x in members:
+    while language.member(x):
         x += 1
     return x
 
 
-def proper_superset_index(collection_id: str, k: int) -> Optional[int]:
-    if collection_id == "multiples":
-        return None if k == 1 else 1
-    if collection_id == "finite_prefixes":
-        return k + 1
-    if collection_id == "finite_sets":
-        return k | ((~k) & (k + 1))  # switch on the lowest unset bit
-    if collection_id == "finite_plus_all":
-        return None if k == 1 else 1
-    return None
+# Both searches stop by index 2k+1 so that they end on any collection;
+# every catalog collection has its pick inside that range.
+def proper_superset_index(collection: Collection, k: int) -> Optional[int]:
+    """Least j <= 2k+1 with L_k a proper subset of L_j, else None."""
+    return next((j for j in range(1, 2 * k + 2) if _proper_subset(collection, k, j)), None)
 
 
-def proper_subset_index(collection_id: str, k: int) -> Optional[int]:
-    if collection_id == "multiples":
-        return 2 * k
-    if collection_id == "finite_prefixes":
-        return k - 1 if k >= 2 else None
-    if collection_id == "finite_sets":
-        reduced = k & (k - 1)  # drop the lowest set bit
-        return reduced or None
-    if collection_id == "finite_plus_all":
-        if k == 1:
-            return 2
-        reduced = (k - 1) & (k - 2)
-        return reduced + 1 if reduced else None
-    return None
+def proper_subset_index(collection: Collection, k: int) -> Optional[int]:
+    """Greatest j < k with L_j a proper subset of L_k, else the least such
+    j in k+1..2k, else None."""
+    order = [*range(k - 1, 0, -1), *range(k + 1, 2 * k + 1)]
+    return next((j for j in order if _proper_subset(collection, j, k)), None)
 
 
 def standard_candidates(
@@ -674,10 +645,10 @@ def standard_candidates(
     proper nonempty subset of a singleton) are omitted."""
     target = collection.language(target_index)
     roster = [("g-eq", language_candidate(collection, target_index))]
-    sup = proper_superset_index(collection.id, target_index)
+    sup = proper_superset_index(collection, target_index)
     if sup is not None:
         roster.append(("g-sup", language_candidate(collection, sup)))
-    sub = proper_subset_index(collection.id, target_index)
+    sub = proper_subset_index(collection, target_index)
     if sub is not None:
         roster.append(("g-sub", language_candidate(collection, sub)))
     outsider = least_nonmember(target)
@@ -826,7 +797,7 @@ def scenario_from_config(
         algorithm=algorithm.get("name", ""),
         candidate=candidate,
         identifier=params.get("identifier"),
-        fresh_copies=bool(params.get("fresh_copies", False)),
+        fresh_copies=config_field(params, "fresh_copies", bool, False),
         strategy=Strategy.from_config(config_field(config, "adversary", Mapping, {})),
         horizon=config_field(config, "horizon", int, 1000),
     )

@@ -4,8 +4,8 @@ The domain is fixed as the positive integers; the canonical domain
 enumeration is the identity, so the j-th domain point has value j.
 A ``Language`` is a decidable description of a subset of the domain,
 a ``Collection`` is a countably indexed family of languages with a
-membership oracle and optional exact index-level relations, and a
-``CandidateSet`` is the set under test, built from a small closed
+membership oracle and exact inclusion and equality between indices,
+and a ``CandidateSet`` is the set under test, built from a small closed
 grammar so that both membership and subset questions stay decidable.
 
 All membership traffic that matters for a game run goes through the
@@ -35,11 +35,11 @@ PURPOSE_DETECTOR = "detector"
 PURPOSES = (PURPOSE_CANDIDATE, PURPOSE_CONSISTENCY, PURPOSE_DETECTOR)
 
 
-_KIND_NAMES = {int: "an integer", str: "a string", Mapping: "an object"}
+_KIND_NAMES = {bool: "a boolean", int: "an integer", str: "a string", Mapping: "an object"}
 
 
 def config_field(config: Mapping, key: str, kind: type, default=None):
-    """``config[key]`` checked to be an int, a str or a Mapping, per ``kind``.
+    """``config[key]`` checked to be a bool, an int, a str or a Mapping, per ``kind``.
 
     An absent or null field gives ``default``. Booleans are not integers.
     """
@@ -182,8 +182,8 @@ class Collection:
 
     ``family(i)`` yields the i-th language for any index i >= 1 (or up to
     ``index_bound`` for explicit catalogs). ``subset_of(i, j)`` decides
-    L_i <= L_j exactly and ``equals(i, j)`` decides L_i == L_j, when the
-    family supplies closed forms. ``telltale(i)`` yields a finite subset
+    L_i <= L_j and ``equals(i, j)`` decides L_i == L_j, both exactly and
+    from the languages' closed forms. ``telltale(i)`` yields a finite subset
     of L_i that certifies it against proper subsets within the family,
     or None when no such set is available for that index.
 
@@ -197,8 +197,6 @@ class Collection:
         self,
         id: str,
         family: Callable[[int], Language],
-        subset_of: Optional[Callable[[int, int], bool]] = None,
-        equals: Optional[Callable[[int, int], bool]] = None,
         telltale: Optional[Callable[[int], Optional[tuple[int, ...]]]] = None,
         finite_telltale_violation: Optional[Callable[[int, frozenset], Optional[int]]] = None,
         index_bound: Optional[int] = None,
@@ -206,8 +204,6 @@ class Collection:
     ) -> None:
         self.id = id
         self._family = family
-        self.subset_of = subset_of
-        self.equals = equals
         self._telltale = telltale
         self.finite_telltale_violation = finite_telltale_violation
         self.index_bound = index_bound
@@ -233,6 +229,12 @@ class Collection:
     def member(self, i: int, x: int) -> bool:
         """The membership oracle: x in L_i."""
         return self.language(i).member(x)
+
+    def subset_of(self, i: int, j: int) -> bool:
+        return language_subset(self.language(i), self.language(j))
+
+    def equals(self, i: int, j: int) -> bool:
+        return language_equal(self.language(i), self.language(j))
 
     @property
     def has_telltales(self) -> bool:
@@ -291,8 +293,6 @@ def _multiples_collection() -> Collection:
     return Collection(
         id="multiples",
         family=lambda i: Language("multiples", "multiples", i, modulus=i),
-        subset_of=lambda i, j: i % j == 0,
-        equals=lambda i, j: i == j,
         telltale=lambda i: (i,),
         finite_telltale_violation=violation,
         description="L_i holds every multiple of i",
@@ -309,8 +309,6 @@ def _finite_prefixes_collection() -> Collection:
     return Collection(
         id="finite_prefixes",
         family=lambda i: Language("finite_prefix", "finite_prefixes", i, bound=i),
-        subset_of=lambda i, j: i <= j,
-        equals=lambda i, j: i == j,
         telltale=lambda i: (i,),
         finite_telltale_violation=violation,
         description="L_i is the prefix {1..i}",
@@ -338,8 +336,6 @@ def _finite_sets_collection() -> Collection:
         family=lambda i: Language(
             "finite_set", "finite_sets", i, elements=decode_finite_set(i)
         ),
-        subset_of=lambda i, j: i & ~j == 0,
-        equals=lambda i, j: i == j,
         telltale=decode_finite_set,
         finite_telltale_violation=_finite_sets_violation,
         description="L_i decodes the binary expansion of i as a characteristic vector",
@@ -353,13 +349,6 @@ def _finite_plus_all_collection() -> Collection:
         return Language(
             "finite_set", "finite_plus_all", i, elements=decode_finite_set(i - 1)
         )
-
-    def subset_of(i: int, j: int) -> bool:
-        if j == 1:
-            return True
-        if i == 1:
-            return False
-        return (i - 1) & ~(j - 1) == 0
 
     def telltale(i: int) -> Optional[tuple[int, ...]]:
         if i == 1:
@@ -377,8 +366,6 @@ def _finite_plus_all_collection() -> Collection:
     return Collection(
         id="finite_plus_all",
         family=family,
-        subset_of=subset_of,
-        equals=lambda i, j: i == j,
         telltale=telltale,
         finite_telltale_violation=violation,
         description="L_1 is the whole domain; L_{i+1} is the i-th finite set",

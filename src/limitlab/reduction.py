@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .identifiers import ConsistentIndices, Inapplicable
-from .languages import Collection, CollectionOracle
+from .languages import CollectionOracle
 
 DetectorFactory = Callable[[int], object]
 
@@ -50,11 +50,9 @@ class ReductionIdentifier:
 
     def __init__(
         self,
-        collection: Collection,
         detector_factory: DetectorFactory,
         consistency_oracle: CollectionOracle,
         fresh_copies: bool = False,
-        trace_rounds: bool = False,
     ) -> None:
         self._factory = detector_factory
         self._consistent = ConsistentIndices(consistency_oracle)
@@ -65,7 +63,6 @@ class ReductionIdentifier:
         self._inapplicable: set[int] = set()
         self.guesses: list[int] = []
         self.last_round: Optional[RoundState] = None
-        self.rounds: Optional[list[RoundState]] = [] if trace_rounds else None
 
     def _pool_verdict(self, index: int, w: int) -> int:
         detector = self._pool.get(index)
@@ -119,6 +116,4 @@ class ReductionIdentifier:
             guess=guess,
             inapplicable=tuple(sorted(self._inapplicable)),
         )
-        if self.rounds is not None:
-            self.rounds.append(self.last_round)
         return guess

@@ -288,14 +288,12 @@ def test_criterion_7_determinism_and_monotonicity():
             ledger = QueryLedger()
             detector_oracle = CollectionOracle(collection, ledger, PURPOSE_DETECTOR)
             reduction = ReductionIdentifier(
-                collection,
                 lambda i: ScanDetector(
                     TelltaleIdentifier(collection, detector_oracle),
                     LanguageCandidateOracle(detector_oracle, i),
                     detector_oracle,
                 ),
                 CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY),
-                trace_rounds=True,
             )
             stream = EnumerationStream(collection.language(k), Strategy("repeat_heavy", seed=3))
             dropped: set = set()

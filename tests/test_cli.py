@@ -282,6 +282,9 @@ BAD_FIELDS = [
     (("adversary", "seed"), "x"),
     (("adversary", "params", "block_growth"), "2"),
     (("adversary", "params", "block_growth"), 1.5),
+    (("adversary", "params", "block_growth"), 13),  # the horizon is 12
+    (("algorithm", "params", "fresh_copies"), "false"),
+    (("algorithm", "params", "fresh_copies"), 0),
     (("adversary",), {"strategy": "delay_pattern", "params": {"period": "x"}}),
     (("adversary",), {"strategy": "repeat_heavy", "params": {"repeat_prob": ["1", 2]}}),
     (("adversary",), {"strategy": "repeat_heavy", "params": {"repeat_prob": "1/2"}}),

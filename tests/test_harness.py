@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -130,8 +131,6 @@ def test_duplicate_collection_identification_uses_language_equality():
     dup = Collection(
         id="dup",
         family=lambda i: everything,
-        subset_of=lambda i, j: True,
-        equals=lambda i, j: True,
         telltale=lambda i: (1,),
     )
     collections = {"dup": dup}
@@ -180,6 +179,16 @@ def test_sweep_captures_failures_and_continues():
     assert "candidate" in by_id["broken-run"]["detail"]
 
 
+def test_block_growth_is_bounded_by_the_horizon():
+    at_bound = GameScenario("at-bound", "multiples", 2, "telltale", horizon=10,
+                            strategy=Strategy("block_shuffle", seed=1, block_growth=10))
+    over = replace(at_bound, scenario_id="over", horizon=9)
+    rows = {row["scenario_id"]: row for row in run_sweep([at_bound, over], CATALOG)}
+    assert rows["at-bound"]["status"] == "ok"
+    assert rows["over"]["status"] == "error"
+    assert "block_growth" in rows["over"]["detail"]
+
+
 def test_sweep_rejects_duplicate_ids():
     scenario = GameScenario("same", "multiples", 2, "consistency_min", horizon=5)
     with pytest.raises(ConfigError):
@@ -222,8 +231,6 @@ def test_checker_closed_form_matches_bounded_search_on_small_indices():
         stripped = Collection(
             id=original.id,
             family=original.language,
-            subset_of=original.subset_of,
-            equals=original.equals,
             telltale=original.telltale,
         )
         for i in range(1, 17):
@@ -278,12 +285,12 @@ def test_roundtrip_refuses_collections_without_telltales():
 
 
 def test_superset_and_subset_pickers_are_sound():
-    for cid, collection in CATALOG.items():
+    for collection in CATALOG.values():
         for k in range(1, 9):
-            sup = proper_superset_index(cid, k)
+            sup = proper_superset_index(collection, k)
             if sup is not None:
                 assert collection.subset_of(k, sup) and not collection.equals(k, sup)
-            sub = proper_subset_index(cid, k)
+            sub = proper_subset_index(collection, k)
             if sub is not None:
                 assert collection.subset_of(sub, k) and not collection.equals(sub, k)
             outsider = least_nonmember(collection.language(k))

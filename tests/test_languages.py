@@ -152,8 +152,6 @@ def test_duplicate_languages_are_permitted():
     dup = Collection(
         id="dup",
         family=lambda i: everything,
-        subset_of=lambda i, j: True,
-        equals=lambda i, j: True,
         telltale=lambda i: (1,),
     )
     assert dup.member(5, 17) and dup.member(9, 17)

@@ -22,7 +22,7 @@ MULTIPLES = CATALOG["multiples"]
 PREFIXES = CATALOG["finite_prefixes"]
 
 
-def build_reduction(collection, ledger, fresh_copies=False, trace_rounds=False):
+def build_reduction(collection, ledger, fresh_copies=False):
     detector_oracle = CollectionOracle(collection, ledger, PURPOSE_DETECTOR)
 
     def factory(index):
@@ -33,27 +33,26 @@ def build_reduction(collection, ledger, fresh_copies=False, trace_rounds=False):
         )
 
     return ReductionIdentifier(
-        collection,
         factory,
         CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY),
         fresh_copies=fresh_copies,
-        trace_rounds=trace_rounds,
     )
 
 
 def drive(collection, prefix, **kwargs):
     ledger = QueryLedger()
     reduction = build_reduction(collection, ledger, **kwargs)
-    guesses = []
+    guesses, rounds = [], []
     for t, w in enumerate(prefix, start=1):
         ledger.begin_step(t)
         guesses.append(reduction.step(w))
-    return guesses, reduction, ledger
+        rounds.append(reduction.last_round)
+    return guesses, reduction, ledger, rounds
 
 
 def test_prefixes_roundtrip_example():
     prefix = EnumerationStream(PREFIXES.language(2)).take(12)
-    guesses, reduction, _ = drive(PREFIXES, prefix)
+    guesses, reduction, _, _ = drive(PREFIXES, prefix)
     assert guesses[0] == 1 and set(guesses[1:]) == {2}
     final = reduction.last_round
     assert final.guess == 2 and 2 in final.consistent and final.accepted[0] == 2
@@ -69,14 +68,14 @@ def test_matches_literal_simulation_oracle():
         (CATALOG["finite_sets"], EnumerationStream(CATALOG["finite_sets"].language(6)).take(10)),
     ]
     for collection, prefix in cases:
-        guesses, _, _ = drive(collection, prefix)
+        guesses, _, _, _ = drive(collection, prefix)
         assert guesses == sim_reduction_guesses(collection, prefix), (collection.id, prefix)
 
 
 def test_empty_acceptance_set_falls_back_to_one():
     # First round on the finite-set collection with target {2}: index 1
     # encodes {1}, which is inconsistent with the first element.
-    guesses, reduction, _ = drive(CATALOG["finite_sets"], [2])
+    guesses, reduction, _, _ = drive(CATALOG["finite_sets"], [2])
     assert guesses == [1]
     assert reduction.last_round.accepted == ()
     assert reduction.last_round.consistent == ()
@@ -84,7 +83,7 @@ def test_empty_acceptance_set_falls_back_to_one():
 
 def test_pool_matches_fresh_detector_spot_check():
     prefix = EnumerationStream(PREFIXES.language(3)).take(5)
-    _, reduction, ledger = drive(PREFIXES, prefix)
+    _, reduction, ledger, _ = drive(PREFIXES, prefix)
     pooled = reduction._pool[3]
     fresh = build_reduction(PREFIXES, ledger)._factory(3)
     verdict = None
@@ -105,10 +104,11 @@ def test_pool_matches_fresh_detector_spot_check():
 def test_incremental_pool_agrees_with_fresh_copies(cid, k, strategy):
     collection = CATALOG[cid]
     prefix = EnumerationStream(collection.language(k), strategy).take(30)
-    incremental, inc_red, _ = drive(collection, prefix, trace_rounds=True)
-    fresh, fresh_red, _ = drive(collection, prefix, fresh_copies=True, trace_rounds=True)
+    incremental, _, _, inc_rounds = drive(collection, prefix)
+    fresh, _, _, fresh_rounds = drive(collection, prefix, fresh_copies=True)
     assert incremental == fresh
-    for a, b in zip(inc_red.rounds, fresh_red.rounds):
+    assert len(inc_rounds) == len(fresh_rounds) == len(prefix)
+    for a, b in zip(inc_rounds, fresh_rounds):
         assert a == b  # bit-for-bit round dumps, verdict vectors included
 
 
@@ -116,9 +116,9 @@ def test_consistent_set_is_antitone():
     prefix = EnumerationStream(
         MULTIPLES.language(4), Strategy("repeat_heavy", seed=6)
     ).take(40)
-    _, reduction, _ = drive(MULTIPLES, prefix, trace_rounds=True)
+    _, _, _, rounds = drive(MULTIPLES, prefix)
     dropped = set()
-    for state in reduction.rounds:
+    for state in rounds:
         current = set(state.consistent)
         assert not (dropped & current)
         dropped |= set(range(1, state.t + 1)) - current
@@ -126,7 +126,7 @@ def test_consistent_set_is_antitone():
 
 def test_partition_logic_at_the_final_round():
     prefix = EnumerationStream(MULTIPLES.language(6)).take(40)
-    _, reduction, _ = drive(MULTIPLES, prefix)
+    _, reduction, _, _ = drive(MULTIPLES, prefix)
     final = reduction.last_round
     z = final.guess
     assert MULTIPLES.equals(z, 6)
@@ -150,7 +150,7 @@ def test_consistency_query_bound_2t_minus_1():
 def test_inapplicable_inner_detectors_are_pinned_to_zero():
     fpa = CATALOG["finite_plus_all"]
     prefix = EnumerationStream(fpa.language(3)).take(8)
-    guesses, reduction, _ = drive(fpa, prefix)
+    guesses, reduction, _, _ = drive(fpa, prefix)
     # every pooled detector hits the missing index-1 tell-tale immediately
     assert guesses == [1] * 8
     final = reduction.last_round
