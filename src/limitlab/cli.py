@@ -23,6 +23,7 @@ from .harness import (
     RunOutcome,
     check_angluin,
     DEFAULT_CHECK_BOUNDS,
+    MAX_TELLTALE_ELEMENT,
     replay_certificate,
     report_to_dict,
     run_game,
@@ -310,7 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check-angluin", help="bounded tell-tale condition check")
     check.add_argument("--collection", required=True)
     check.add_argument("--index", type=int, required=True)
-    check.add_argument("--telltale", help="comma-separated elements; defaults to the catalog rule")
+    check.add_argument(
+        "--telltale",
+        help=f"comma-separated elements, each at most {MAX_TELLTALE_ELEMENT}; "
+        "defaults to the catalog rule",
+    )
     check.add_argument("--bounds", help="index,element bounds, e.g. 64,64")
     check.add_argument("--out", default=_default_out())
     check.set_defaults(func=cmd_check_angluin)

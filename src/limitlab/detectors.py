@@ -35,6 +35,10 @@ class ScanDetector:
     domain element x <= t lies in the candidate but not in the presumed
     target. The sweep is resumed per guessed index, and a found witness
     stays found, so steps with an unchanged guess cost one new scan slot.
+
+    ``scan`` is the sweep alone, for a guess made elsewhere: the
+    reduction feeds its whole pool from one guess tape and catches a new
+    index up with one ``scan`` per distinct past guess.
     """
 
     name = "alg1"
@@ -55,20 +59,24 @@ class ScanDetector:
 
     def step(self, w: int) -> int:
         self.t += 1
-        guess = self.identifier.step(w)
-        if guess not in self._violated:
-            upto = self._scanned_upto.get(guess, 0)
-            if upto < self.t:
-                candidate_member = self._candidate.member
-                oracle_member = self._oracle.member
-                for x in range(upto + 1, self.t + 1):
-                    if candidate_member(x) and not oracle_member(guess, x):
-                        self._violated.add(guess)
-                        break
-                self._scanned_upto[guess] = self.t
-        verdict = 0 if guess in self._violated else 1
+        verdict = self.scan(self.identifier.step(w), self.t)
         self.verdicts.append(verdict)
         return verdict
+
+    def scan(self, guess: int, upto: int) -> int:
+        """Verdict for ``guess`` once the domain prefix 1..upto is swept."""
+        if guess in self._violated:
+            return 0
+        start = self._scanned_upto.get(guess, 0)
+        if start < upto:
+            candidate_member = self._candidate.member
+            oracle_member = self._oracle.member
+            for x in range(start + 1, upto + 1):
+                if candidate_member(x) and not oracle_member(guess, x):
+                    self._violated.add(guess)
+                    return 0
+            self._scanned_upto[guess] = upto
+        return 1
 
 
 class NegativeExampleDetector:

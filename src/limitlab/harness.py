@@ -215,6 +215,8 @@ def run_game(
             # Everything inside a pooled detector, identifier included,
             # bills to the detector purpose; the candidate is the probed
             # language itself, so its queries hit the collection oracle.
+            # Pooled, only the first detector's identifier is stepped: it
+            # is the guess tape for every index.
             return ScanDetector(
                 make_identifier(scenario.identifier, collection, _oracle),
                 LanguageCandidateOracle(_oracle, index),
@@ -362,6 +364,10 @@ VERDICT_VIOLATION = "violation_certified"
 VERDICT_INCONCLUSIVE = "inconclusive_within_bounds"
 
 DEFAULT_CHECK_BOUNDS = (64, 512)
+# Largest element an explicit tell-tale may hold. finite_plus_all
+# encodes a finite set as a bit mask, so for element x its witness
+# index is about 2^x; at this cap it still prints in ~3000 digits.
+MAX_TELLTALE_ELEMENT = 10_000
 
 
 @dataclass(frozen=True)
@@ -430,6 +436,7 @@ def check_angluin(
     settle the question for every j; otherwise indices up to bounds[0]
     are tried, certifying proper subsets through the collection's exact
     relations plus a strictness element of value at most bounds[1].
+    An explicit tell-tale may hold elements up to MAX_TELLTALE_ELEMENT.
     """
     index_bound, element_bound = bounds
     if index_bound < 1 or element_bound < 1:
@@ -445,6 +452,10 @@ def check_angluin(
         elements = tuple(sorted(tt))
     else:
         elements = tuple(sorted(set(telltale)))
+        if elements and elements[-1] > MAX_TELLTALE_ELEMENT:
+            raise ConfigError(
+                f"telltale: element {elements[-1]} exceeds the cap {MAX_TELLTALE_ELEMENT}"
+            )
         for x in elements:
             if not lang.member(x):
                 raise ConfigError(

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .detectors import ScanDetector
 from .identifiers import ConsistentIndices, Inapplicable
 from .languages import CollectionOracle
 
-DetectorFactory = Callable[[int], object]
+DetectorFactory = Callable[[int], ScanDetector]
 
 
 @dataclass(frozen=True)
@@ -34,13 +35,19 @@ class RoundState:
 class ReductionIdentifier:
     """Identifier assembled from a detector factory over one collection.
 
-    ``detector_factory(i)`` must build a fresh deterministic detector
-    whose candidate set is the i-th language. By default each index
-    keeps one pooled detector advanced a single step per round (a new
-    index's detector is first caught up on the earlier prefix), which by
-    determinism matches the literal protocol of rebuilding every
+    ``detector_factory(i)`` must build a fresh deterministic
+    ``ScanDetector`` whose candidate set is the i-th language. All of
+    them would make the same guesses, so by default one guess tape feeds
+    the pool: the first detector's identifier is stepped once per round,
+    and each pooled index keeps only its scan state. A new index catches
+    up with one scan per distinct past guess g, over x up to the last
+    step that guessed g, which queries the keys a step-by-step replay
+    would. An ``Inapplicable`` from the tape at step s pins every index
+    to 0 from round s on, since every replay reaches step s. By
+    determinism this matches the literal protocol of rebuilding every
     detector from scratch each round; pass ``fresh_copies=True`` to run
-    that quadratic protocol verbatim for differential testing.
+    that quadratic protocol verbatim, with private identifiers, for
+    differential testing.
 
     A detector that reports itself inapplicable pins its index's verdict
     to 0 and is recorded in the round dumps rather than aborting the run.
@@ -59,24 +66,36 @@ class ReductionIdentifier:
         self._fresh_copies = fresh_copies
         self.t = 0
         self._prefix: list[int] = []
-        self._pool: dict[int, object] = {}
+        self._pool: dict[int, ScanDetector] = {}
+        self._tape = None                      # the pool's one identifier
+        self._tape_stopped = False             # its step raised Inapplicable
+        self._last_guessed: dict[int, int] = {}  # tape guess -> last step with it
         self._inapplicable: set[int] = set()
         self.guesses: list[int] = []
         self.last_round: Optional[RoundState] = None
 
-    def _pool_verdict(self, index: int, w: int) -> int:
-        detector = self._pool.get(index)
-        try:
-            if detector is None:
-                detector = self._factory(index)
-                for x in self._prefix[:-1]:
-                    detector.step(x)
-                self._pool[index] = detector
-            return detector.step(w)
-        except Inapplicable:
-            self._inapplicable.add(index)
-            self._pool.pop(index, None)
-            return 0
+    def _pool_verdicts(self, w: int) -> list[int]:
+        t = self.t
+        new = self._factory(t)
+        if self._tape is None:
+            self._tape = new.identifier
+        if not self._tape_stopped:
+            try:
+                guess = self._tape.step(w)
+            except Inapplicable:
+                self._tape_stopped = True
+            else:
+                self._last_guessed[guess] = t
+        # Catch the new index up: one sweep per distinct guess so far.
+        for g, last in self._last_guessed.items():
+            new.scan(g, last)
+        if self._tape_stopped:
+            self._inapplicable.update(self._pool)
+            self._inapplicable.add(t)
+            self._pool.clear()
+            return [0] * t
+        self._pool[t] = new
+        return [detector.scan(guess, t) for detector in self._pool.values()]
 
     def _fresh_verdict(self, index: int) -> int:
         try:
@@ -95,14 +114,13 @@ class ReductionIdentifier:
         self._consistent.see(w)
         self._consistent.admit(t)
         consistent = self._consistent.alive
-        verdicts = []
-        for i in range(1, t + 1):
-            if i in self._inapplicable:
-                verdicts.append(0)
-            elif self._fresh_copies:
-                verdicts.append(self._fresh_verdict(i))
-            else:
-                verdicts.append(self._pool_verdict(i, w))
+        if self._fresh_copies:
+            verdicts = [
+                0 if i in self._inapplicable else self._fresh_verdict(i)
+                for i in range(1, t + 1)
+            ]
+        else:
+            verdicts = self._pool_verdicts(w)
         accepted = tuple(
             i for i in range(1, t + 1) if i in consistent and verdicts[i - 1] == 1
         )

@@ -320,6 +320,10 @@ def test_malformed_scenario_files_exit_2(tmp_path, capsys, argv, text):
         ["run", "--scenario", "{tmp}/missing.json"],
         ["check-angluin", "--collection", "multiples", "--index", "2", "--telltale", "2,x"],
         ["check-angluin", "--collection", "multiples", "--index", "2", "--telltale", "0"],
+        ["check-angluin", "--collection", "finite_plus_all", "--index", "1",
+         "--telltale", "20000"],
+        ["check-angluin", "--collection", "finite_plus_all", "--index", "1",
+         "--telltale", "1000000"],
         ["run", "--collection", "multiples", "--target", "2", "--identifier", "telltale",
          "--strategy", "repeat_heavy", "--repeat-prob", "1/x"],
     ],

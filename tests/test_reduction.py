@@ -1,17 +1,23 @@
 import pytest
 
 from limitlab import (
+    Collection,
     CollectionOracle,
     EnumerationStream,
     GameScenario,
+    Language,
     LanguageCandidateOracle,
     QueryLedger,
     ReductionIdentifier,
     ScanDetector,
     Strategy,
-    TelltaleIdentifier,
     catalog,
     run_game,
+)
+from limitlab.identifiers import (
+    ConsistencyMinIdentifier,
+    TelltaleIdentifier,
+    make_identifier,
 )
 from limitlab.languages import PURPOSE_CONSISTENCY, PURPOSE_DETECTOR
 
@@ -22,12 +28,22 @@ MULTIPLES = CATALOG["multiples"]
 PREFIXES = CATALOG["finite_prefixes"]
 
 
-def build_reduction(collection, ledger, fresh_copies=False):
+# The multiples with no tell-tale for index 3: the identifier, and so
+# every inner detector, becomes inapplicable at step 3, not step 1.
+GAPPED = Collection(
+    id="gapped",
+    family=lambda i: Language("multiples", "gapped", i, modulus=i),
+    telltale=lambda i: None if i == 3 else (i,),
+)
+COLLECTIONS = dict(CATALOG, gapped=GAPPED)
+
+
+def build_reduction(collection, ledger, fresh_copies=False, identifier="telltale"):
     detector_oracle = CollectionOracle(collection, ledger, PURPOSE_DETECTOR)
 
     def factory(index):
         return ScanDetector(
-            TelltaleIdentifier(collection, detector_oracle),
+            make_identifier(identifier, collection, detector_oracle),
             LanguageCandidateOracle(detector_oracle, index),
             detector_oracle,
         )
@@ -84,32 +100,82 @@ def test_empty_acceptance_set_falls_back_to_one():
 def test_pool_matches_fresh_detector_spot_check():
     prefix = EnumerationStream(PREFIXES.language(3)).take(5)
     _, reduction, ledger, _ = drive(PREFIXES, prefix)
-    pooled = reduction._pool[3]
+    assert 3 in reduction._pool
     fresh = build_reduction(PREFIXES, ledger)._factory(3)
     verdict = None
     for w in prefix:
         verdict = fresh.step(w)
-    assert pooled.verdicts[-1] == verdict
+    assert reduction.last_round.verdicts[3 - 1] == verdict
 
 
 @pytest.mark.parametrize(
-    "cid,k,strategy",
+    "cid,k,strategy,identifier",
     [
-        ("multiples", 6, Strategy("canonical")),
-        ("multiples", 3, Strategy("repeat_heavy", seed=2)),
-        ("finite_prefixes", 4, Strategy("block_shuffle", seed=5, block_growth=2)),
-        ("finite_sets", 5, Strategy("canonical")),
+        ("multiples", 6, Strategy("canonical"), "telltale"),
+        ("multiples", 3, Strategy("repeat_heavy", seed=2), "telltale"),
+        ("finite_prefixes", 4, Strategy("block_shuffle", seed=5, block_growth=2), "telltale"),
+        ("finite_sets", 5, Strategy("canonical"), "telltale"),
+        # a recorded Inapplicable, at step 1 and at step 3
+        ("finite_plus_all", 3, Strategy("repeat_heavy", seed=3), "telltale"),
+        ("gapped", 6, Strategy("canonical"), "telltale"),
+        ("multiples", 4, Strategy("repeat_heavy", seed=2), "consistency_min"),
+        ("finite_prefixes", 3, Strategy("canonical"), "consistency_min"),
+        ("finite_plus_all", 2, Strategy("block_shuffle", seed=1, block_growth=2),
+         "consistency_min"),
     ],
 )
-def test_incremental_pool_agrees_with_fresh_copies(cid, k, strategy):
-    collection = CATALOG[cid]
+def test_incremental_pool_agrees_with_fresh_copies(cid, k, strategy, identifier):
+    collection = COLLECTIONS[cid]
     prefix = EnumerationStream(collection.language(k), strategy).take(30)
-    incremental, _, _, inc_rounds = drive(collection, prefix)
-    fresh, _, _, fresh_rounds = drive(collection, prefix, fresh_copies=True)
+    incremental, _, inc_ledger, inc_rounds = drive(collection, prefix, identifier=identifier)
+    fresh, _, fresh_ledger, fresh_rounds = drive(
+        collection, prefix, identifier=identifier, fresh_copies=True
+    )
     assert incremental == fresh
     assert len(inc_rounds) == len(fresh_rounds) == len(prefix)
     for a, b in zip(inc_rounds, fresh_rounds):
         assert a == b  # bit-for-bit round dumps, verdict vectors included
+    for t in range(1, len(prefix) + 1):
+        for purpose in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
+            assert inc_ledger.at(t, purpose) == fresh_ledger.at(t, purpose), (t, purpose)
+
+
+@pytest.mark.parametrize(
+    "identifier_class", [TelltaleIdentifier, ConsistencyMinIdentifier]
+)
+def test_pooled_run_steps_one_identifier_and_replays_no_detector(
+    monkeypatch, identifier_class
+):
+    calls = {"identifier": 0, "detector": 0}
+
+    def counting(owner, key):
+        original = owner.step
+
+        def step(self, w):
+            calls[key] += 1
+            return original(self, w)
+
+        monkeypatch.setattr(owner, "step", step)
+
+    counting(identifier_class, "identifier")
+    counting(ScanDetector, "detector")
+
+    def run(horizon, fresh_copies):
+        calls.update(identifier=0, detector=0)
+        scenario = GameScenario(
+            "pin", "multiples", 6, "alg2", identifier=identifier_class.name,
+            horizon=horizon, fresh_copies=fresh_copies,
+        )
+        assert run_game(scenario, CATALOG).status == "ok"
+
+    horizon = 150
+    run(horizon, fresh_copies=False)
+    # one guess tape for the pool; catch-up sweeps without replaying steps
+    assert calls["identifier"] <= horizon
+    assert calls["detector"] == 0
+    # the literal protocol keeps a private identifier in every detector
+    run(10, fresh_copies=True)
+    assert calls["identifier"] == calls["detector"] == sum(t * t for t in range(1, 11))
 
 
 def test_consistent_set_is_antitone():
