@@ -17,6 +17,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import RNG_ALGORITHM, EnumerationStream, LabeledStream, Strategy
@@ -211,16 +212,21 @@ def run_game(
         stream = EnumerationStream(target, scenario.strategy)
         detector_oracle = CollectionOracle(collection, ledger, PURPOSE_DETECTOR)
 
-        def factory(index: int, _oracle=detector_oracle) -> ScanDetector:
+        def identifier():
+            return make_identifier(scenario.identifier, collection, detector_oracle)
+
+        # Pooled, one identifier is the guess tape for every index;
+        # fresh copies keep a private one per detector.
+        tape = None if scenario.fresh_copies else identifier()
+
+        def factory(index: int) -> ScanDetector:
             # Everything inside a pooled detector, identifier included,
             # bills to the detector purpose; the candidate is the probed
             # language itself, so its queries hit the collection oracle.
-            # Pooled, only the first detector's identifier is stepped: it
-            # is the guess tape for every index.
             return ScanDetector(
-                make_identifier(scenario.identifier, collection, _oracle),
-                LanguageCandidateOracle(_oracle, index),
-                _oracle,
+                tape or identifier(),
+                LanguageCandidateOracle(detector_oracle, index),
+                detector_oracle,
             )
 
         algorithm = ReductionIdentifier(
@@ -816,26 +822,44 @@ def scenario_from_config(
     return scenario
 
 
+def _step_format(output_key: str, labeled: bool = False) -> tuple[str, Callable]:
+    """Row template and field getter for one shape of step record.
+
+    ``json.dumps`` of a record whose values name ``StepRecord`` fields
+    fixes key order and spacing; each name then becomes ``%d``, and the
+    getter picks a row's fields in the order the names appeared.
+    """
+    record = {
+        "t": "<t>",
+        "w": "<w>",
+        output_key: "<output>",
+        "fresh_candidate_queries": "<fresh_candidate>",
+        "fresh_collection_queries_by_purpose": {
+            "consistency": "<fresh_consistency>",
+            "detector": "<fresh_detector>",
+        },
+    }
+    if labeled:
+        record["y"] = "<y>"
+    text = json.dumps(record, sort_keys=True)
+    names = re.findall(r'"<(\w+)>"', text)
+    template = re.sub(r'"<\w+>"', "%d", text)
+    return template, itemgetter(*map(StepRecord._fields.index, names))
+
+
+_STEP_FORMATS = {
+    "negex": _step_format("verdict", labeled=True),
+    "alg1": _step_format("verdict"),
+    **dict.fromkeys(IDENTIFICATION_ALGORITHMS, _step_format("guess")),
+}
+
+
 def transcript_to_jsonl(outcome: RunOutcome) -> str:
     """Spec wire format: a meta record, one record per step, and for
     reduction runs a trailing final-round state record."""
-    labeled = outcome.scenario.algorithm == "negex"
-    output_key = "verdict" if outcome.scenario.algorithm in DETECTION_ALGORITHMS else "guess"
+    template, step_fields = _STEP_FORMATS[outcome.scenario.algorithm]
     lines = [json.dumps({"meta": outcome.transcript.meta}, sort_keys=True)]
-    for row in outcome.transcript.rows:
-        record = {
-            "t": row.t,
-            "w": row.w,
-            output_key: row.output,
-            "fresh_candidate_queries": row.fresh_candidate,
-            "fresh_collection_queries_by_purpose": {
-                "consistency": row.fresh_consistency,
-                "detector": row.fresh_detector,
-            },
-        }
-        if labeled:
-            record["y"] = row.y
-        lines.append(json.dumps(record, sort_keys=True))
+    lines.extend([template % step_fields(row) for row in outcome.transcript.rows])
     state = outcome.transcript.final_state
     if state is not None:
         lines.append(

@@ -15,7 +15,6 @@ oracle handles at the bottom of this module, which count every fresh
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterable, Mapping, Optional
@@ -577,39 +576,46 @@ def candidate_from_config(
 
 
 class QueryLedger:
-    """Per-step counters of fresh oracle queries, keyed by (step, purpose).
+    """Per-step counters of fresh oracle queries, one flat list per purpose.
 
-    Every fresh query through a handle increments exactly one counter;
-    counters never decrease. ``begin_step`` must walk the step counter
-    forward one game step at a time.
+    ``_counts[purpose][t]`` counts the fresh queries made for that purpose
+    during step t, and index 0 those made before the first step. Each
+    list holds ``step + 1`` entries: ``begin_step`` appends a zero to
+    every list. The purposes are ``PURPOSES``. Every fresh query through
+    a handle increments exactly one counter; counters never decrease.
+    ``begin_step`` must walk the step counter forward one game step at a
+    time.
     """
 
     __slots__ = ("step", "_counts", "calls")
 
     def __init__(self) -> None:
         self.step = 0
-        self._counts: Counter = Counter()
+        self._counts: dict[str, list[int]] = {p: [0] for p in PURPOSES}
         self.calls = 0
 
     def begin_step(self, t: int) -> None:
         if t != self.step + 1:
             raise ConfigError(f"ledger steps advance one at a time, got {t} after {self.step}")
         self.step = t
+        for counts in self._counts.values():
+            counts.append(0)
 
     def record(self, purpose: str) -> None:
-        self._counts[(self.step, purpose)] += 1
+        self._counts[purpose][self.step] += 1
         self.calls += 1
 
     def at(self, t: int, purpose: str) -> int:
-        return self._counts[(t, purpose)]
+        counts = self._counts[purpose]
+        return counts[t] if 0 <= t < len(counts) else 0
 
     def total(self, purpose: Optional[str] = None) -> int:
         if purpose is None:
-            return sum(self._counts.values())
-        return sum(n for (_, p), n in self._counts.items() if p == purpose)
+            return sum(map(sum, self._counts.values()))
+        return sum(self._counts[purpose])
 
     def totals_by_purpose(self) -> dict[str, int]:
-        return {p: self.total(p) for p in PURPOSES}
+        return {p: sum(counts) for p, counts in self._counts.items()}
 
 
 class CollectionOracle:

@@ -9,6 +9,7 @@ were computed with these functions first.
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Optional, Sequence
 
 from limitlab import (
@@ -17,6 +18,7 @@ from limitlab import (
     GameScenario,
     LabeledStream,
     Language,
+    RunOutcome,
     candidate_subset_of,
     language_subset,
 )
@@ -185,3 +187,41 @@ def negex_expected_t_star(
             break
     assert first_any is not None, "no witness surfaced within the horizon"
     return first_any, least_step
+
+
+def reference_transcript_to_jsonl(outcome: RunOutcome) -> str:
+    """The transcript wire format with one ``json.dumps`` per record."""
+    algorithm = outcome.scenario.algorithm
+    output_key = "verdict" if algorithm in ("negex", "alg1") else "guess"
+    lines = [json.dumps({"meta": outcome.transcript.meta}, sort_keys=True)]
+    for row in outcome.transcript.rows:
+        record = {
+            "t": row.t,
+            "w": row.w,
+            output_key: row.output,
+            "fresh_candidate_queries": row.fresh_candidate,
+            "fresh_collection_queries_by_purpose": {
+                "consistency": row.fresh_consistency,
+                "detector": row.fresh_detector,
+            },
+        }
+        if algorithm == "negex":
+            record["y"] = row.y
+        lines.append(json.dumps(record, sort_keys=True))
+    state = outcome.transcript.final_state
+    if state is not None:
+        lines.append(
+            json.dumps(
+                {
+                    "final_state": {
+                        "t": state.t,
+                        "consistent": list(state.consistent),
+                        "accepted": list(state.accepted),
+                        "guess": state.guess,
+                        "inapplicable": list(state.inapplicable),
+                    }
+                },
+                sort_keys=True,
+            )
+        )
+    return "\n".join(lines) + "\n"

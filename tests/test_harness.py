@@ -38,7 +38,11 @@ from limitlab.harness import (
     proper_superset_index,
 )
 
-from tests.oracles import candidate_members_upto, language_members_upto
+from tests.oracles import (
+    candidate_members_upto,
+    language_members_upto,
+    reference_transcript_to_jsonl,
+)
 
 CATALOG = catalog()
 MULTIPLES = CATALOG["multiples"]
@@ -355,3 +359,43 @@ def test_transcript_wire_format():
     )
     last = json.loads(transcript_to_jsonl(reduced).strip().split("\n")[-1])
     assert set(last["final_state"]) == {"t", "consistent", "accepted", "guess", "inapplicable"}
+
+
+SERIALIZER_CASES = [
+    GameScenario("ser-negex", "multiples", 2, "negex",
+                 candidate=language_candidate(MULTIPLES, 3),
+                 strategy=Strategy("repeat_heavy", seed=4), horizon=80),
+    GameScenario("ser-negex-in", "finite_prefixes", 9, "negex",
+                 candidate=language_candidate(PREFIXES, 4), horizon=40),
+    GameScenario("ser-alg1", "multiples", 6, "alg1", identifier="telltale",
+                 candidate=language_candidate(MULTIPLES, 4),
+                 strategy=Strategy("block_shuffle", seed=2), horizon=80),
+    GameScenario("ser-alg1-min", "finite_prefixes", 5, "alg1", identifier="consistency_min",
+                 candidate=domain_candidate(), horizon=40),
+    GameScenario("ser-telltale", "multiples", 6, "telltale",
+                 strategy=Strategy("delay_pattern", seed=3), horizon=80),
+    GameScenario("ser-consistency-min", "finite_prefixes", 7, "consistency_min", horizon=60),
+    GameScenario("ser-alg2", "multiples", 6, "alg2", identifier="telltale", horizon=60),
+    GameScenario("ser-alg2-fresh", "multiples", 4, "alg2", identifier="consistency_min",
+                 fresh_copies=True, horizon=12),
+    GameScenario("ser-alg2-pinned", "finite_plus_all", 3, "alg2", identifier="telltale",
+                 horizon=10),
+    GameScenario("ser-inapplicable", "finite_plus_all", 2, "telltale", horizon=10),
+]
+
+
+@pytest.mark.parametrize("scenario", SERIALIZER_CASES, ids=lambda s: s.scenario_id)
+def test_transcript_rows_match_reference_serializer(scenario):
+    outcome = run_game(scenario, CATALOG)
+    inapplicable = scenario.scenario_id == "ser-inapplicable"
+    assert (outcome.status == "inapplicable") == inapplicable
+    assert bool(outcome.transcript.rows) != inapplicable  # stops before step 1
+    assert (outcome.transcript.final_state is not None) == (scenario.algorithm == "alg2")
+    for row in outcome.transcript.rows:
+        for name, value in row._asdict().items():
+            if name == "y" and scenario.algorithm != "negex":
+                assert value is None
+            else:
+                # %d writes True as 1 where JSON writes true
+                assert type(value) is int, (name, value)
+    assert transcript_to_jsonl(outcome) == reference_transcript_to_jsonl(outcome)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -314,3 +316,25 @@ def test_ledger_steps_advance_one_at_a_time():
     ledger.begin_step(1)
     with pytest.raises(ConfigError):
         ledger.begin_step(3)
+
+
+@given(st.lists(st.lists(st.sampled_from(PURPOSES), max_size=6), max_size=25))
+def test_ledger_matches_a_counter_model(plan):
+    # plan[t] lists the purposes recorded during step t; step 0 is before
+    # the first begin_step
+    ledger = QueryLedger()
+    model: Counter = Counter()
+    for t, purposes in enumerate(plan):
+        if t:
+            ledger.begin_step(t)
+        for purpose in purposes:
+            ledger.record(purpose)
+            model[(t, purpose)] += 1
+    assert ledger.step == max(len(plan) - 1, 0)
+    for t in range(ledger.step + 2):
+        for purpose in PURPOSES:
+            assert ledger.at(t, purpose) == model[(t, purpose)], (t, purpose)
+    assert ledger.total() == sum(model.values()) == ledger.calls
+    by_purpose = {p: sum(n for (_, q), n in model.items() if q == p) for p in PURPOSES}
+    assert {p: ledger.total(p) for p in PURPOSES} == by_purpose
+    assert ledger.totals_by_purpose() == by_purpose

@@ -12,6 +12,7 @@ from limitlab import (
     ScanDetector,
     Strategy,
     catalog,
+    harness,
     run_game,
 )
 from limitlab.identifiers import (
@@ -146,7 +147,7 @@ def test_incremental_pool_agrees_with_fresh_copies(cid, k, strategy, identifier)
 def test_pooled_run_steps_one_identifier_and_replays_no_detector(
     monkeypatch, identifier_class
 ):
-    calls = {"identifier": 0, "detector": 0}
+    calls = {"identifier": 0, "detector": 0, "made": 0}
 
     def counting(owner, key):
         original = owner.step
@@ -160,8 +161,14 @@ def test_pooled_run_steps_one_identifier_and_replays_no_detector(
     counting(identifier_class, "identifier")
     counting(ScanDetector, "detector")
 
+    def counting_make_identifier(*args):
+        calls["made"] += 1
+        return make_identifier(*args)
+
+    monkeypatch.setattr(harness, "make_identifier", counting_make_identifier)
+
     def run(horizon, fresh_copies):
-        calls.update(identifier=0, detector=0)
+        calls.update(identifier=0, detector=0, made=0)
         scenario = GameScenario(
             "pin", "multiples", 6, "alg2", identifier=identifier_class.name,
             horizon=horizon, fresh_copies=fresh_copies,
@@ -173,9 +180,11 @@ def test_pooled_run_steps_one_identifier_and_replays_no_detector(
     # one guess tape for the pool; catch-up sweeps without replaying steps
     assert calls["identifier"] <= horizon
     assert calls["detector"] == 0
+    assert calls["made"] == 1
     # the literal protocol keeps a private identifier in every detector
     run(10, fresh_copies=True)
     assert calls["identifier"] == calls["detector"] == sum(t * t for t in range(1, 11))
+    assert calls["made"] == sum(range(1, 11))
 
 
 def test_consistent_set_is_antitone():
