@@ -156,7 +156,7 @@ class EnumerationStream:
     """Complete presentation of a target language, repetitions allowed."""
 
     def __init__(self, target: Language, strategy: Strategy = Strategy()) -> None:
-        if target.cardinality() == 0:
+        if target.is_finite and not target.elements:
             raise ConfigError(
                 "an enumeration of the empty language does not exist; "
                 "pick a nonempty target"

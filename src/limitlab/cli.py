@@ -256,9 +256,7 @@ def cmd_check_angluin(args: argparse.Namespace) -> int:
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     for collection in catalog().values():
-        if not collection.has_telltales:
-            telltales = "no"
-        elif collection.telltale(1) is None:
+        if collection.telltale(1) is None:
             telltales = "partial (none for index 1)"
         else:
             telltales = "yes"

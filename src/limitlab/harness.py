@@ -573,7 +573,7 @@ def run_roundtrip(
     collections = catalog() if collections is None else collections
     collection = resolve_collection(collection_id, collections)
     collection.language(target_index)
-    if not collection.has_telltales or collection.telltale(1) is None:
+    if collection.telltale(1) is None:
         raise Inapplicable(
             f"collection {collection_id!r} lacks a tell-tale oracle for index 1; "
             "the identifier-backed detector cannot be constructed"

@@ -15,16 +15,14 @@ oracle handles at the bottom of this module, which count every fresh
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 
 class ConfigError(ValueError):
     """A scenario, catalog lookup, or spec value failed validation."""
 
-
-LANGUAGE_KINDS = ("multiples", "finite_prefix", "finite_set", "all_of_domain")
 
 # Ledger purposes. Candidate queries go to the set under test; collection
 # queries are split by who asked: consistency bookkeeping vs. detector scans.
@@ -57,68 +55,52 @@ def _check_element(x: int) -> None:
 
 @dataclass(frozen=True)
 class Language:
-    """A decidable language over the positive integers.
+    """A decidable language over the positive integers, in one of two closed forms.
 
-    Exactly one of the kind-specific fields is meaningful:
-    ``modulus`` for "multiples", ``bound`` for "finite_prefix" (the set
-    {1..bound}), ``elements`` for "finite_set" (sorted, distinct).
-    ``collection_id`` and ``index`` record provenance and play no role
-    in membership.
+    ``modulus >= 1``: the multiples of ``modulus``; modulus 1 is the whole
+    domain. ``modulus == 0``: the finite set ``elements``, sorted and
+    distinct; the prefix {1..b} is kept as ``range(1, b + 1)``, which
+    answers ``in``, ``len`` and indexing in O(1).
     """
 
-    kind: str
-    collection_id: str = ""
-    index: int = 0
     modulus: int = 0
-    bound: int = 0
-    elements: tuple[int, ...] = ()
+    elements: Union[tuple[int, ...], range] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in LANGUAGE_KINDS:
-            raise ConfigError(f"unknown language kind {self.kind!r}")
-        if self.kind == "multiples" and self.modulus < 1:
-            raise ConfigError("multiples language needs modulus >= 1")
-        if self.kind == "finite_prefix" and self.bound < 1:
-            raise ConfigError("finite_prefix language needs bound >= 1")
-        if self.kind == "finite_set":
-            elems = self.elements
+        elems = self.elements
+        if self.modulus < 0:
+            raise ConfigError(f"modulus must be >= 0, got {self.modulus}")
+        if self.modulus and elems:
+            raise ConfigError("a language has a modulus or elements, not both")
+        if isinstance(elems, range):
+            if not elems or elems.start != 1 or elems.step != 1:
+                raise ConfigError(f"a prefix language is range(1, b + 1), got {elems!r}")
+        elif elems:
             if list(elems) != sorted(set(elems)):
-                raise ConfigError("finite_set elements must be sorted and distinct")
+                raise ConfigError("finite language elements must be sorted and distinct")
             for x in elems:
                 _check_element(x)
-            object.__setattr__(self, "_element_set", frozenset(elems))
+            elems = frozenset(elems)
+        # A range answers ``in`` itself; an empty tuple (every multiples
+        # language) is shared, where each empty frozenset would cost 216 B.
+        object.__setattr__(self, "_members", elems)
 
     def member(self, x: int) -> bool:
         """Exact membership; total and deterministic for every element."""
         if x < 1:
             raise ConfigError(f"domain elements are positive integers, got {x!r}")
-        kind = self.kind
-        if kind == "multiples":
+        if self.modulus:
             return x % self.modulus == 0
-        if kind == "finite_prefix":
-            return x <= self.bound
-        if kind == "finite_set":
-            return x in self._element_set  # type: ignore[attr-defined]
-        return True  # all_of_domain
+        return x in self._members  # type: ignore[attr-defined]
 
     @property
     def is_finite(self) -> bool:
-        return self.kind in ("finite_prefix", "finite_set")
+        return not self.modulus
 
-    def cardinality(self) -> Optional[int]:
-        """Number of elements, or None when infinite."""
-        if self.kind == "finite_prefix":
-            return self.bound
-        if self.kind == "finite_set":
-            return len(self.elements)
-        return None
-
-    def finite_elements(self) -> tuple[int, ...]:
-        if self.kind == "finite_prefix":
-            return tuple(range(1, self.bound + 1))
-        if self.kind == "finite_set":
-            return self.elements
-        raise ConfigError(f"language {self.describe()} is infinite")
+    def finite_elements(self) -> Union[tuple[int, ...], range]:
+        if self.modulus:
+            raise ConfigError(f"language {self.describe()} is infinite")
+        return self.elements
 
     def first_elements(self, n: int) -> tuple[list[int], bool]:
         """First min(n, |L|) elements in ascending value order.
@@ -128,44 +110,33 @@ class Language:
         """
         if n < 0:
             raise ConfigError("element count must be >= 0")
-        if self.kind == "multiples":
+        if self.modulus:
             return [self.modulus * j for j in range(1, n + 1)], False
-        if self.kind == "all_of_domain":
-            return list(range(1, n + 1)), False
-        elems = self.finite_elements()
-        return list(elems[:n]), len(elems) <= n
+        return list(self.elements[:n]), len(self.elements) <= n
 
     def element_at(self, rank: int) -> int:
         """Element of canonical rank (1-based), cycling for finite languages."""
         if rank < 1:
             raise ConfigError("rank must be >= 1")
-        if self.kind == "multiples":
+        if self.modulus:
             return self.modulus * rank
-        if self.kind == "all_of_domain":
-            return rank
-        elems = self.finite_elements()
-        return elems[(rank - 1) % len(elems)]
+        return self.elements[(rank - 1) % len(self.elements)]
 
     def describe(self) -> str:
-        if self.kind == "multiples":
+        if self.modulus == 1:
+            return "all positive integers"
+        if self.modulus:
             return f"multiples of {self.modulus}"
-        if self.kind == "finite_prefix":
-            return "{1..%d}" % self.bound
-        if self.kind == "finite_set":
-            return "{%s}" % ", ".join(str(x) for x in self.elements)
-        return "all positive integers"
+        if isinstance(self.elements, range):
+            return "{1..%d}" % len(self.elements)
+        return "{%s}" % ", ".join(str(x) for x in self.elements)
 
 
 def language_subset(a: Language, b: Language) -> bool:
     """Exact decision of a <= b using the closed language forms."""
     if a.is_finite:
-        return all(b.member(x) for x in a.finite_elements())
-    # a is infinite: multiples of m (all_of_domain is multiples of 1)
-    m = a.modulus if a.kind == "multiples" else 1
-    if b.is_finite:
-        return False
-    n = b.modulus if b.kind == "multiples" else 1
-    return m % n == 0
+        return all(b.member(x) for x in a.elements)
+    return not b.is_finite and a.modulus % b.modulus == 0
 
 
 def language_equal(a: Language, b: Language) -> bool:
@@ -179,8 +150,10 @@ def language_equal(a: Language, b: Language) -> bool:
 class Collection:
     """A countably indexed family of languages with a membership oracle.
 
-    ``family(i)`` yields the i-th language for any index i >= 1 (or up to
-    ``index_bound`` for explicit catalogs). ``subset_of(i, j)`` decides
+    ``family(i)`` yields the i-th language for any index i >= 1. Each
+    language is built on first use, which also validates the index, and
+    kept in ``_language_cache``; ``member`` reads that cache first.
+    ``subset_of(i, j)`` decides
     L_i <= L_j and ``equals(i, j)`` decides L_i == L_j, both exactly and
     from the languages' closed forms. ``telltale(i)`` yields a finite subset
     of L_i that certifies it against proper subsets within the family,
@@ -198,14 +171,12 @@ class Collection:
         family: Callable[[int], Language],
         telltale: Optional[Callable[[int], Optional[tuple[int, ...]]]] = None,
         finite_telltale_violation: Optional[Callable[[int, frozenset], Optional[int]]] = None,
-        index_bound: Optional[int] = None,
         description: str = "",
     ) -> None:
         self.id = id
         self._family = family
         self._telltale = telltale
         self.finite_telltale_violation = finite_telltale_violation
-        self.index_bound = index_bound
         self.description = description
         self._language_cache: dict[int, Language] = {}
 
@@ -215,10 +186,6 @@ class Collection:
     def language(self, i: int) -> Language:
         if not isinstance(i, int) or isinstance(i, bool) or i < 1:
             raise ConfigError(f"language indices are positive integers, got {i!r}")
-        if self.index_bound is not None and i > self.index_bound:
-            raise ConfigError(
-                f"collection {self.id!r} declares indices up to {self.index_bound}, got {i}"
-            )
         lang = self._language_cache.get(i)
         if lang is None:
             lang = self._family(i)
@@ -227,17 +194,16 @@ class Collection:
 
     def member(self, i: int, x: int) -> bool:
         """The membership oracle: x in L_i."""
-        return self.language(i).member(x)
+        lang = self._language_cache.get(i)
+        if lang is None:
+            lang = self.language(i)
+        return lang.member(x)
 
     def subset_of(self, i: int, j: int) -> bool:
         return language_subset(self.language(i), self.language(j))
 
     def equals(self, i: int, j: int) -> bool:
         return language_equal(self.language(i), self.language(j))
-
-    @property
-    def has_telltales(self) -> bool:
-        return self._telltale is not None
 
     def telltale(self, i: int) -> Optional[tuple[int, ...]]:
         """Tell-tale for index i, or None when missing for this index."""
@@ -291,7 +257,7 @@ def _multiples_collection() -> Collection:
 
     return Collection(
         id="multiples",
-        family=lambda i: Language("multiples", "multiples", i, modulus=i),
+        family=lambda i: Language(modulus=i),
         telltale=lambda i: (i,),
         finite_telltale_violation=violation,
         description="L_i holds every multiple of i",
@@ -307,7 +273,7 @@ def _finite_prefixes_collection() -> Collection:
 
     return Collection(
         id="finite_prefixes",
-        family=lambda i: Language("finite_prefix", "finite_prefixes", i, bound=i),
+        family=lambda i: Language(elements=range(1, i + 1)),
         telltale=lambda i: (i,),
         finite_telltale_violation=violation,
         description="L_i is the prefix {1..i}",
@@ -332,9 +298,7 @@ def _finite_sets_violation(index: int, telltale: frozenset) -> Optional[int]:
 def _finite_sets_collection() -> Collection:
     return Collection(
         id="finite_sets",
-        family=lambda i: Language(
-            "finite_set", "finite_sets", i, elements=decode_finite_set(i)
-        ),
+        family=lambda i: Language(elements=decode_finite_set(i)),
         telltale=decode_finite_set,
         finite_telltale_violation=_finite_sets_violation,
         description="L_i decodes the binary expansion of i as a characteristic vector",
@@ -344,10 +308,8 @@ def _finite_sets_collection() -> Collection:
 def _finite_plus_all_collection() -> Collection:
     def family(i: int) -> Language:
         if i == 1:
-            return Language("all_of_domain", "finite_plus_all", 1)
-        return Language(
-            "finite_set", "finite_plus_all", i, elements=decode_finite_set(i - 1)
-        )
+            return Language(modulus=1)
+        return Language(elements=decode_finite_set(i - 1))
 
     def telltale(i: int) -> Optional[tuple[int, ...]]:
         if i == 1:
@@ -481,7 +443,7 @@ def finite_candidate(elements: Iterable[int]) -> CandidateSet:
 
 def domain_candidate() -> CandidateSet:
     return CandidateSet(
-        core=Language("all_of_domain"),
+        core=Language(modulus=1),
         plus=frozenset(),
         minus=frozenset(),
         descriptor="all",

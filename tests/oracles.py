@@ -142,7 +142,7 @@ def least_escape(candidate: CandidateSet, target: Language) -> Optional[int]:
     if core is not None and not (
         core.is_finite or language_subset(core, target)
     ):
-        x = core.modulus if core.kind == "multiples" else 1
+        x = core.modulus
         step = x
         while True:
             if x not in candidate.minus and not target.member(x):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +27,7 @@ def test_canonical_examples():
 
 def test_labeled_examples():
     assert LabeledStream(MULTIPLES.language(2)).take(4) == [(1, 0), (2, 1), (3, 0), (4, 1)]
-    everything = Language("all_of_domain")
+    everything = Language(modulus=1)
     assert all(y == 1 for _, y in LabeledStream(everything).take(20))
     labeled = LabeledStream(PREFIXES.language(3)).take(4)
     assert labeled[3] == (4, 0)
@@ -44,12 +46,23 @@ def test_block_shuffle_golden_vector():
 
 def test_empty_target_is_rejected():
     with pytest.raises(ConfigError):
-        EnumerationStream(Language("finite_set", elements=()))
+        EnumerationStream(Language())
 
 
 def test_labeled_stream_accepts_empty_target():
-    stream = LabeledStream(Language("finite_set", elements=()))
+    stream = LabeledStream(Language())
     assert all(y == 0 for _, y in stream.take(10))
+
+
+def test_prefix_stream_step_takes_constant_space():
+    # Each step on a {1..k} target reads one element; it must not list all k.
+    tracemalloc.start()
+    try:
+        EnumerationStream(catalog()["finite_prefixes"].language(10**6)).take(3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 STRATEGIES = [

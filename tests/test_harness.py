@@ -131,7 +131,7 @@ def test_ground_truth_matches_exhaustive_membership_on_the_grid():
 
 
 def test_duplicate_collection_identification_uses_language_equality():
-    everything = Language("multiples", "dup", 1, modulus=1)
+    everything = Language(modulus=1)
     dup = Collection(
         id="dup",
         family=lambda i: everything,

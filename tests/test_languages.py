@@ -65,12 +65,6 @@ def test_membership_is_deterministic_and_total():
 def test_unknown_collection_and_bad_index():
     with pytest.raises(ConfigError):
         MULTIPLES.language(0)
-    bounded = Collection(
-        id="bounded", family=lambda i: PREFIXES.language(i), index_bound=3
-    )
-    assert bounded.member(3, 2)
-    with pytest.raises(ConfigError):
-        bounded.member(4, 2)
 
 
 def test_enumerate_language_examples():
@@ -78,6 +72,83 @@ def test_enumerate_language_examples():
     assert PREFIXES.language(2).first_elements(5) == ([1, 2], True)
     assert FINITE_PLUS_ALL.language(1).first_elements(4) == ([1, 2, 3, 4], False)
     assert FINITE_SETS.language(5).first_elements(2) == ([1, 3], True)
+
+
+# ---------------------------------------------------------------------------
+# the two closed forms against an extensional listing
+
+# Every language below lies in 1..40 or is the multiples of m <= 12, so
+# two of them differ below WINDOW whenever they differ at all.
+WINDOW = 160
+
+
+def _forms():
+    """(language, its elements below WINDOW), the set built without Language."""
+    return st.one_of(
+        st.integers(min_value=1, max_value=12).map(
+            lambda m: (Language(modulus=m), set(range(m, WINDOW, m)))
+        ),
+        st.frozensets(st.integers(min_value=1, max_value=40)).map(
+            lambda s: (Language(elements=tuple(sorted(s))), set(s))
+        ),
+        st.integers(min_value=1, max_value=40).map(
+            lambda b: (Language(elements=range(1, b + 1)), set(range(1, b + 1)))
+        ),
+    )
+
+
+@settings(max_examples=200)
+@given(_forms(), _forms(), st.integers(min_value=0, max_value=13))
+def test_closed_forms_match_extensional_listing(form_a, form_b, n):
+    a, listed_a = form_a
+    b, listed_b = form_b
+    ascending = sorted(listed_a)
+    assert [x for x in range(1, WINDOW) if a.member(x)] == ascending
+    assert a.is_finite == (max(ascending, default=0) <= 40)
+    assert a.first_elements(n) == (ascending[:n], a.is_finite and len(ascending) <= n)
+    if ascending:
+        for rank in range(1, 14):
+            assert a.element_at(rank) == ascending[(rank - 1) % len(ascending)]
+    assert language_subset(a, b) == (listed_a <= listed_b)
+    with pytest.raises(ConfigError):
+        a.member(0)
+
+
+_BAD_LANGUAGES = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=2)
+    .filter(lambda xs: xs != sorted(set(xs)))
+    .map(lambda xs: dict(elements=tuple(xs))),
+    st.frozensets(st.integers(min_value=1, max_value=40)).map(
+        lambda s: dict(elements=(0, *sorted(s)))
+    ),
+    st.integers(max_value=-1).map(lambda m: dict(modulus=m)),
+    st.tuples(
+        st.integers(min_value=1, max_value=12),
+        st.frozensets(st.integers(min_value=1, max_value=40), min_size=1),
+    ).map(lambda ms: dict(modulus=ms[0], elements=tuple(sorted(ms[1])))),
+    st.tuples(
+        st.integers(min_value=-3, max_value=5).filter(lambda start: start != 1),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=3),
+    ).map(lambda r: dict(elements=range(r[0], r[0] + r[1] * r[2], r[2]))),
+    st.integers(min_value=2, max_value=40).map(lambda b: dict(elements=range(1, b + 1, 2))),
+    st.just(dict(elements=range(1, 1))),
+)
+
+
+@given(_BAD_LANGUAGES)
+def test_malformed_languages_are_rejected(fields):
+    with pytest.raises(ConfigError):
+        Language(**fields)
+
+
+@pytest.mark.parametrize("collection", list(CATALOG.values()), ids=list(CATALOG))
+def test_collection_member_rejects_element_zero(collection):
+    fresh = catalog()[collection.id]
+    with pytest.raises(ConfigError):
+        fresh.member(5, 0)  # index 5 not yet built
+    with pytest.raises(ConfigError):
+        fresh.member(5, 0)  # index 5 now cached
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +221,7 @@ def test_telltale_containment_up_to_64():
 
 
 def test_duplicate_languages_are_permitted():
-    everything = Language("multiples", "dup", 1, modulus=1)
+    everything = Language(modulus=1)
     dup = Collection(
         id="dup",
         family=lambda i: everything,

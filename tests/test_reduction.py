@@ -33,7 +33,7 @@ PREFIXES = CATALOG["finite_prefixes"]
 # every inner detector, becomes inapplicable at step 3, not step 1.
 GAPPED = Collection(
     id="gapped",
-    family=lambda i: Language("multiples", "gapped", i, modulus=i),
+    family=lambda i: Language(modulus=i),
     telltale=lambda i: None if i == 3 else (i,),
 )
 COLLECTIONS = dict(CATALOG, gapped=GAPPED)
