@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from itertools import chain, count, islice, repeat
+from typing import Iterator, Mapping, Optional
 
 from .languages import ConfigError, Language, config_field
 
@@ -90,8 +91,8 @@ class Strategy:
         return cls(name=name, seed=config_field(config, "seed", int, 0), **kwargs)
 
 
-class _Cursor:
-    """Strategy engine over a canonical source listing.
+def _presentation(language: Optional[Language], strategy: Strategy) -> Iterator[int]:
+    """The strategy's emissions over a canonical source listing.
 
     The source is the target language's ascending listing (cycling once a
     finite language is spent) or the ascending domain when ``language`` is
@@ -100,56 +101,36 @@ class _Cursor:
     permutation of a canonical segment, repeat_heavy because its fresh
     branch walks the canonical listing and fires infinitely often.
     """
+    source = count(1) if language is None else map(language.element_at, count(1))
+    if strategy.name == "canonical":
+        return source
+    if strategy.name == "delay_pattern":
+        return chain.from_iterable(map(repeat, source, repeat(strategy.period)))
+    rng = random.Random(strategy.seed)
+    if strategy.name == "block_shuffle":
+        return _block_shuffle(source, rng, strategy.block_growth)
+    return _repeat_heavy(source, rng, strategy.repeat_num, strategy.repeat_den)
 
-    __slots__ = ("_lang", "_rng", "_strategy", "_t", "_fresh", "_seen_list", "_seen",
-                 "_block", "_block_pos", "_block_no", "_block_base")
 
-    def __init__(self, language: Optional[Language], strategy: Strategy) -> None:
-        self._lang = language
-        self._strategy = strategy
-        self._rng = random.Random(strategy.seed)
-        self._t = 0
-        self._fresh = 0            # canonical positions consumed by repeat_heavy
-        self._seen_list: list[int] = []
-        self._seen: set[int] = set()
-        self._block: list[int] = []
-        self._block_pos = 0
-        self._block_no = 0
-        self._block_base = 0
+def _block_shuffle(source: Iterator[int], rng: random.Random, growth: int) -> Iterator[int]:
+    for n in count(1):
+        block = list(islice(source, growth * n))
+        rng.shuffle(block)
+        yield from block
 
-    def _source_at(self, position: int) -> int:
-        """0-based canonical position, cycling for finite targets."""
-        if self._lang is None:
-            return position + 1
-        return self._lang.element_at(position + 1)
 
-    def next(self) -> int:
-        self._t += 1
-        name = self._strategy.name
-        if name == "canonical":
-            return self._source_at(self._t - 1)
-        if name == "delay_pattern":
-            return self._source_at((self._t - 1) // self._strategy.period)
-        if name == "block_shuffle":
-            if self._block_pos >= len(self._block):
-                self._block_no += 1
-                size = self._strategy.block_growth * self._block_no
-                self._block = [self._source_at(self._block_base + k) for k in range(size)]
-                self._block_base += size
-                self._rng.shuffle(self._block)
-                self._block_pos = 0
-            value = self._block[self._block_pos]
-            self._block_pos += 1
-            return value
-        # repeat_heavy
-        if self._seen_list and self._rng.randrange(self._strategy.repeat_den) < self._strategy.repeat_num:
-            return self._seen_list[self._rng.randrange(len(self._seen_list))]
-        value = self._source_at(self._fresh)
-        self._fresh += 1
-        if value not in self._seen:
-            self._seen.add(value)
-            self._seen_list.append(value)
-        return value
+def _repeat_heavy(source: Iterator[int], rng: random.Random, num: int, den: int) -> Iterator[int]:
+    seen_list: list[int] = []
+    seen: set[int] = set()
+    while True:
+        if seen_list and rng.randrange(den) < num:
+            yield seen_list[rng.randrange(len(seen_list))]
+            continue
+        value = next(source)
+        if value not in seen:
+            seen.add(value)
+            seen_list.append(value)
+        yield value
 
 
 class EnumerationStream:
@@ -163,10 +144,10 @@ class EnumerationStream:
             )
         self.target = target
         self.strategy = strategy
-        self._cursor = _Cursor(target, strategy)
+        self._next = _presentation(target, strategy).__next__
 
     def next(self) -> int:
-        return self._cursor.next()
+        return self._next()
 
     def take(self, n: int) -> list[int]:
         return [self.next() for _ in range(n)]
@@ -178,10 +159,10 @@ class LabeledStream:
     def __init__(self, target: Language, strategy: Strategy = Strategy()) -> None:
         self.target = target
         self.strategy = strategy
-        self._cursor = _Cursor(None, strategy)
+        self._next = _presentation(None, strategy).__next__
 
     def next(self) -> tuple[int, int]:
-        w = self._cursor.next()
+        w = self._next()
         return w, 1 if self.target.member(w) else 0
 
     def take(self, n: int) -> list[tuple[int, int]]:

@@ -17,6 +17,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -34,6 +35,7 @@ from .languages import (
     PURPOSE_CANDIDATE,
     PURPOSE_CONSISTENCY,
     PURPOSE_DETECTOR,
+    PURPOSES,
     QueryLedger,
     candidate_from_config,
     candidate_subset_of,
@@ -182,7 +184,6 @@ def run_game(
     target = collection.language(scenario.target_index)
     alg = scenario.algorithm
     ledger = QueryLedger()
-    labeled = alg == "negex"
     ground_truth: Optional[bool] = None
     identifier_ref = None
 
@@ -235,30 +236,30 @@ def run_game(
             fresh_copies=scenario.fresh_copies,
         )
 
-    rows: list[StepRecord] = []
+    # Rows are built after the loop, from columns, and hold completed
+    # steps only; an interrupted step's queries stay in the ledger totals.
+    next_item, step, begin_step = stream.next, algorithm.step, ledger.begin_step
+    items: list = []
+    outputs: list[int] = []
     status = "ok"
     detail: Optional[str] = None
     try:
         for t in range(1, scenario.horizon + 1):
-            ledger.begin_step(t)
-            if labeled:
-                w, y = stream.next()
-                output = algorithm.step((w, y))
-            else:
-                w = stream.next()
-                y = None
-                output = algorithm.step(w)
-            rows.append(
-                StepRecord(
-                    t, w, y, output,
-                    ledger.at(t, PURPOSE_CANDIDATE),
-                    ledger.at(t, PURPOSE_CONSISTENCY),
-                    ledger.at(t, PURPOSE_DETECTOR),
-                )
-            )
+            begin_step(t)
+            item = next_item()
+            items.append(item)
+            outputs.append(step(item))
     except Inapplicable as exc:
         status = "inapplicable"
         detail = str(exc)
+    if alg == "negex":
+        ws, ys = [w for w, _ in items], [y for _, y in items]
+    else:
+        ws, ys = items, repeat(None)
+    rows = list(map(
+        StepRecord, range(1, len(outputs) + 1), ws, ys, outputs,
+        *map(ledger.per_step, PURPOSES),
+    ))
 
     transcript = Transcript(meta=_transcript_meta(scenario), rows=rows)
     if alg == "alg2":
@@ -268,7 +269,6 @@ def run_game(
 
     report = None
     if status == "ok":
-        outputs = [row.output for row in rows]
         if alg in DETECTION_ALGORITHMS:
             expected = 1 if ground_truth else 0
             report = analyze_stabilization(outputs, lambda v: v == expected)

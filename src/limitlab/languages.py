@@ -16,6 +16,7 @@ oracle handles at the bottom of this module, which count every fresh
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -46,6 +47,10 @@ def config_field(config: Mapping, key: str, kind: type, default=None):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"{key}: expected {_KIND_NAMES[kind]}, got {value!r}")
     return value
+
+
+def _index_error(i: object) -> ConfigError:
+    return ConfigError(f"language indices are positive integers, got {i!r}")
 
 
 def _check_element(x: int) -> None:
@@ -184,8 +189,8 @@ class Collection:
         return f"Collection({self.id!r})"
 
     def language(self, i: int) -> Language:
-        if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-            raise ConfigError(f"language indices are positive integers, got {i!r}")
+        if type(i) is not int or i < 1:
+            raise _index_error(i)
         lang = self._language_cache.get(i)
         if lang is None:
             lang = self._family(i)
@@ -194,6 +199,8 @@ class Collection:
 
     def member(self, i: int, x: int) -> bool:
         """The membership oracle: x in L_i."""
+        if type(i) is not int:
+            raise _index_error(i)
         lang = self._language_cache.get(i)
         if lang is None:
             lang = self.language(i)
@@ -544,17 +551,16 @@ class QueryLedger:
     during step t, and index 0 those made before the first step. Each
     list holds ``step + 1`` entries: ``begin_step`` appends a zero to
     every list. The purposes are ``PURPOSES``. Every fresh query through
-    a handle increments exactly one counter; counters never decrease.
-    ``begin_step`` must walk the step counter forward one game step at a
-    time.
+    a handle increments exactly one counter; counters never decrease,
+    and ``calls`` is derived from them. ``begin_step`` must walk the
+    step counter forward one game step at a time.
     """
 
-    __slots__ = ("step", "_counts", "calls")
+    __slots__ = ("step", "_counts")
 
     def __init__(self) -> None:
         self.step = 0
         self._counts: dict[str, list[int]] = {p: [0] for p in PURPOSES}
-        self.calls = 0
 
     def begin_step(self, t: int) -> None:
         if t != self.step + 1:
@@ -565,11 +571,18 @@ class QueryLedger:
 
     def record(self, purpose: str) -> None:
         self._counts[purpose][self.step] += 1
-        self.calls += 1
+
+    @property
+    def calls(self) -> int:
+        return self.total()
 
     def at(self, t: int, purpose: str) -> int:
         counts = self._counts[purpose]
         return counts[t] if 0 <= t < len(counts) else 0
+
+    def per_step(self, purpose: str) -> list[int]:
+        """The counts of steps 1..step, in order."""
+        return self._counts[purpose][1:]
 
     def total(self, purpose: Optional[str] = None) -> int:
         if purpose is None:
@@ -583,36 +596,36 @@ class QueryLedger:
 class CollectionOracle:
     """Ledgered membership handle onto one collection.
 
-    Answers are cached per (index, element); only cache misses count as
-    fresh queries under this handle's purpose. Pass a shared ``cache``
-    dict to let several components reuse each other's answers.
+    Answers are cached per (index, element), and only cache misses count
+    as fresh queries under this handle's purpose. Every answer is a bool,
+    so a lookup that gives None is a miss. A miss reads the language from
+    the collection's language cache and builds it there on first use.
     """
 
-    __slots__ = ("collection", "_ledger", "_purpose", "_cache")
+    __slots__ = ("collection", "_languages", "_ledger", "_purpose", "_cache")
 
-    def __init__(
-        self,
-        collection: Collection,
-        ledger: QueryLedger,
-        purpose: str,
-        cache: Optional[dict] = None,
-    ) -> None:
+    def __init__(self, collection: Collection, ledger: QueryLedger, purpose: str) -> None:
         if purpose not in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
             raise ConfigError(f"collection queries use a collection purpose, got {purpose!r}")
         self.collection = collection
+        self._languages = collection._language_cache
         self._ledger = ledger
         self._purpose = purpose
-        self._cache = {} if cache is None else cache
+        self._cache: dict[tuple[int, int], bool] = {}
 
     def member(self, i: int, x: int) -> bool:
+        # True and 1.0 hash like 1, so unchecked they would read L_1's answers.
+        if type(i) is not int:
+            raise _index_error(i)
         key = (i, x)
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
-        value = self.collection.member(i, x)
-        self._ledger.record(self._purpose)
-        self._cache[key] = value
+        value = self._cache.get(key)
+        if value is None:
+            lang = self._languages.get(i)
+            if lang is None:
+                lang = self.collection.language(i)
+            value = lang.member(x)
+            self._ledger.record(self._purpose)
+            self._cache[key] = value
         return value
 
 
@@ -630,18 +643,16 @@ class CandidateOracle:
     def __init__(self, candidate: CandidateSet, ledger: QueryLedger, cached: bool = True) -> None:
         self.candidate = candidate
         self._ledger = ledger
-        self._cache: Optional[dict] = {} if cached else None
+        self._cache: Optional[dict[int, bool]] = {} if cached else None
 
     def member(self, x: int) -> bool:
-        if self._cache is not None:
-            try:
-                return self._cache[x]
-            except KeyError:
-                pass
-        value = self.candidate.member(x)
-        self._ledger.record(PURPOSE_CANDIDATE)
-        if self._cache is not None:
-            self._cache[x] = value
+        cache = self._cache
+        value = None if cache is None else cache.get(x)
+        if value is None:
+            value = self.candidate.member(x)
+            self._ledger.record(PURPOSE_CANDIDATE)
+            if cache is not None:
+                cache[x] = value
         return value
 
 
@@ -649,15 +660,13 @@ class LanguageCandidateOracle:
     """Candidate handle whose set is the i-th collection language.
 
     Used by the detector-to-identifier reduction, where each probed
-    index doubles as the set under test: its queries route to the
-    collection oracle and inherit that handle's purpose and cache.
+    index doubles as the set under test: ``member(x)`` is the collection
+    oracle's ``member(index, x)``, so its queries inherit that handle's
+    purpose and cache.
     """
 
-    __slots__ = ("_oracle", "index")
+    __slots__ = ("member", "index")
 
     def __init__(self, oracle: CollectionOracle, index: int) -> None:
-        self._oracle = oracle
+        self.member: Callable[[int], bool] = partial(oracle.member, index)
         self.index = index
-
-    def member(self, x: int) -> bool:
-        return self._oracle.member(self.index, x)

@@ -37,6 +37,7 @@ from limitlab.harness import (
     proper_subset_index,
     proper_superset_index,
 )
+from limitlab.languages import PURPOSE_CANDIDATE, PURPOSE_CONSISTENCY, PURPOSE_DETECTOR
 
 from tests.oracles import (
     candidate_members_upto,
@@ -399,3 +400,57 @@ def test_transcript_rows_match_reference_serializer(scenario):
                 # %d writes True as 1 where JSON writes true
                 assert type(value) is int, (name, value)
     assert transcript_to_jsonl(outcome) == reference_transcript_to_jsonl(outcome)
+
+
+# Multiples with no tell-tale at index 3, so a tell-tale identifier stops
+# at step 3 (as in tests/test_reduction.py).
+GAPPED = Collection(
+    id="gapped",
+    family=lambda i: Language(modulus=i),
+    telltale=lambda i: None if i == 3 else (i,),
+)
+
+LEDGER_ROW_CASES = [
+    GameScenario("rows-negex", "multiples", 2, "negex",
+                 candidate=language_candidate(MULTIPLES, 3),
+                 strategy=Strategy("repeat_heavy", seed=5), horizon=60),
+    GameScenario("rows-alg1", "finite_prefixes", 4, "alg1", identifier="consistency_min",
+                 candidate=language_candidate(PREFIXES, 6),
+                 strategy=Strategy("block_shuffle", seed=1), horizon=50),
+    GameScenario("rows-telltale", "multiples", 6, "telltale",
+                 strategy=Strategy("delay_pattern", period=2), horizon=50),
+    GameScenario("rows-alg2", "multiples", 4, "alg2", identifier="telltale", horizon=40),
+    GameScenario("rows-gapped", "gapped", 2, "alg1", identifier="telltale",
+                 candidate=language_candidate(GAPPED, 2), horizon=10),
+]
+
+
+@pytest.mark.parametrize("scenario", LEDGER_ROW_CASES, ids=lambda s: s.scenario_id)
+def test_rows_match_the_ledger(scenario):
+    outcome = run_game(scenario, dict(CATALOG, gapped=GAPPED))
+    rows = outcome.transcript.rows
+    ledger = outcome.ledger
+    interrupted = scenario.collection_id == "gapped"
+    assert outcome.status == ("inapplicable" if interrupted else "ok")
+    completed = 2 if interrupted else scenario.horizon
+    assert len(rows) == completed
+    assert [row.t for row in rows] == list(range(1, completed + 1))
+    for row in rows:
+        assert row.fresh_candidate == ledger.at(row.t, PURPOSE_CANDIDATE)
+        assert row.fresh_consistency == ledger.at(row.t, PURPOSE_CONSISTENCY)
+        assert row.fresh_detector == ledger.at(row.t, PURPOSE_DETECTOR)
+    assert ledger.step == completed + interrupted
+    # Queries before step 1 and in the interrupted step are in no row.
+    for purpose, field in (
+        (PURPOSE_CANDIDATE, "fresh_candidate"),
+        (PURPOSE_CONSISTENCY, "fresh_consistency"),
+        (PURPOSE_DETECTOR, "fresh_detector"),
+    ):
+        in_rows = sum(getattr(row, field) for row in rows)
+        outside = ledger.at(0, purpose) + ledger.at(completed + 1, purpose)
+        assert ledger.total(purpose) == in_rows + outside
+    if interrupted:
+        assert ledger.totals_by_purpose() == {
+            PURPOSE_CANDIDATE: 2, PURPOSE_CONSISTENCY: 3, PURPOSE_DETECTOR: 1,
+        }
+        assert ledger.at(3, PURPOSE_CONSISTENCY) == 1

@@ -151,6 +151,32 @@ def test_collection_member_rejects_element_zero(collection):
         fresh.member(5, 0)  # index 5 now cached
 
 
+# 1.0 and True equal 1 and hash like it, so a cache lookup would answer for L_1.
+NON_INT_INDICES = [True, False, 1.0]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("index", NON_INT_INDICES, ids=repr)
+def test_collection_member_rejects_non_int_index(index, warm):
+    collection = catalog()["multiples"]
+    if warm:
+        collection.member(1, 5)
+    with pytest.raises(ConfigError):
+        collection.member(index, 5)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("index", NON_INT_INDICES, ids=repr)
+def test_collection_oracle_rejects_non_int_index(index, warm):
+    ledger = QueryLedger()
+    oracle = CollectionOracle(catalog()["multiples"], ledger, PURPOSE_CONSISTENCY)
+    if warm:
+        oracle.member(1, 5)
+    with pytest.raises(ConfigError):
+        oracle.member(index, 5)
+    assert ledger.total() == warm
+
+
 # ---------------------------------------------------------------------------
 # the finite-set encoding
 
@@ -362,6 +388,24 @@ def test_uncached_candidate_oracle_bills_every_call():
     for _ in range(4):
         oracle.member(3)
     assert ledger.at(1, PURPOSE_CANDIDATE) == 4
+
+
+def test_cached_false_answer_is_a_hit():
+    ledger = QueryLedger()
+    ledger.begin_step(1)
+    oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_CONSISTENCY)
+    assert oracle.member(2, 5) is False
+    assert oracle.member(2, 5) is False
+    assert ledger.at(1, PURPOSE_CONSISTENCY) == 1
+    candidate = language_candidate(MULTIPLES, 3)
+    cached = CandidateOracle(candidate, ledger, cached=True)
+    assert cached.member(4) is False
+    assert cached.member(4) is False
+    assert ledger.at(1, PURPOSE_CANDIDATE) == 1
+    uncached = CandidateOracle(candidate, ledger, cached=False)
+    assert uncached.member(4) is False
+    assert uncached.member(4) is False
+    assert ledger.at(1, PURPOSE_CANDIDATE) == 3
 
 
 @given(
