@@ -47,7 +47,6 @@ from .languages import (
     CollectionOracle,
     ConfigError,
     Language,
-    LanguageCandidateOracle,
     QueryLedger,
     candidate_from_config,
     candidate_subset_of,

@@ -142,8 +142,6 @@ class EnumerationStream:
                 "an enumeration of the empty language does not exist; "
                 "pick a nonempty target"
             )
-        self.target = target
-        self.strategy = strategy
         self._next = _presentation(target, strategy).__next__
 
     def next(self) -> int:
@@ -158,7 +156,6 @@ class LabeledStream:
 
     def __init__(self, target: Language, strategy: Strategy = Strategy()) -> None:
         self.target = target
-        self.strategy = strategy
         self._next = _presentation(None, strategy).__next__
 
     def next(self) -> tuple[int, int]:

@@ -135,8 +135,11 @@ def _load_json(path: str):
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"{path}: not writable ({exc})") from None
 
 
 def _emit_run(outcome: RunOutcome, out_dir: Path) -> int:

@@ -10,29 +10,22 @@ candidate claims.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Union
+from typing import Callable, Optional, Protocol
 
-from .languages import (
-    CandidateOracle,
-    CollectionOracle,
-    LanguageCandidateOracle,
-)
-
-CandidateHandle = Union[CandidateOracle, LanguageCandidateOracle]
+from .languages import CandidateOracle, CollectionOracle
 
 
 class _Identifier(Protocol):
-    guesses: list[int]
-
     def step(self, w: int) -> int: ...
 
 
 class ScanDetector:
     """Detection through identification: identify, then sweep the prefix.
 
-    Each step feeds the enumerated element to the identifier, takes its
-    guess as the presumed target, and reports a hallucination iff some
-    domain element x <= t lies in the candidate but not in the presumed
+    ``candidate`` is the candidate set's membership test. Each step
+    feeds the enumerated element to the identifier, takes its guess as
+    the presumed target, and reports a hallucination iff some domain
+    element x <= t lies in the candidate but not in the presumed
     target. The sweep is resumed per guessed index, and a found witness
     stays found, so steps with an unchanged guess cost one new scan slot.
 
@@ -46,7 +39,7 @@ class ScanDetector:
     def __init__(
         self,
         identifier: _Identifier,
-        candidate: CandidateHandle,
+        candidate: Callable[[int], bool],
         oracle: CollectionOracle,
     ) -> None:
         self.identifier = identifier
@@ -55,13 +48,10 @@ class ScanDetector:
         self.t = 0
         self._scanned_upto: dict[int, int] = {}
         self._violated: set[int] = set()
-        self.verdicts: list[int] = []
 
     def step(self, w: int) -> int:
         self.t += 1
-        verdict = self.scan(self.identifier.step(w), self.t)
-        self.verdicts.append(verdict)
-        return verdict
+        return self.scan(self.identifier.step(w), self.t)
 
     def scan(self, guess: int, upto: int) -> int:
         """Verdict for ``guess`` once the domain prefix 1..upto is swept."""
@@ -69,7 +59,7 @@ class ScanDetector:
             return 0
         start = self._scanned_upto.get(guess, 0)
         if start < upto:
-            candidate_member = self._candidate.member
+            candidate_member = self._candidate
             oracle_member = self._oracle.member
             for x in range(start + 1, upto + 1):
                 if candidate_member(x) and not oracle_member(guess, x):
@@ -93,13 +83,10 @@ class NegativeExampleDetector:
         self._candidate = candidate
         self.t = 0
         self.hallucination_witness: Optional[tuple[int, int]] = None
-        self.verdicts: list[int] = []
 
     def step(self, pair: tuple[int, int]) -> int:
         self.t += 1
         w, label = pair
         if self.hallucination_witness is None and label == 0 and self._candidate.member(w):
             self.hallucination_witness = (w, self.t)
-        verdict = 0 if self.hallucination_witness is not None else 1
-        self.verdicts.append(verdict)
-        return verdict
+        return 0 if self.hallucination_witness is not None else 1

@@ -31,7 +31,6 @@ from .languages import (
     CollectionOracle,
     ConfigError,
     Language,
-    LanguageCandidateOracle,
     PURPOSE_CANDIDATE,
     PURPOSE_CONSISTENCY,
     PURPOSE_DETECTOR,
@@ -200,7 +199,7 @@ def run_game(
         )
         algorithm = ScanDetector(
             identifier_ref,
-            CandidateOracle(scenario.candidate, ledger, cached=True),
+            CandidateOracle(scenario.candidate, ledger, cached=True).member,
             CollectionOracle(collection, ledger, PURPOSE_DETECTOR),
         )
         ground_truth = candidate_subset_of(scenario.candidate, target)
@@ -211,27 +210,10 @@ def run_game(
         )
     else:  # alg2
         stream = EnumerationStream(target, scenario.strategy)
-        detector_oracle = CollectionOracle(collection, ledger, PURPOSE_DETECTOR)
-
-        def identifier():
-            return make_identifier(scenario.identifier, collection, detector_oracle)
-
-        # Pooled, one identifier is the guess tape for every index;
-        # fresh copies keep a private one per detector.
-        tape = None if scenario.fresh_copies else identifier()
-
-        def factory(index: int) -> ScanDetector:
-            # Everything inside a pooled detector, identifier included,
-            # bills to the detector purpose; the candidate is the probed
-            # language itself, so its queries hit the collection oracle.
-            return ScanDetector(
-                tape or identifier(),
-                LanguageCandidateOracle(detector_oracle, index),
-                detector_oracle,
-            )
-
         algorithm = ReductionIdentifier(
-            factory,
+            collection,
+            scenario.identifier,
+            CollectionOracle(collection, ledger, PURPOSE_DETECTOR),
             CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY),
             fresh_copies=scenario.fresh_copies,
         )

@@ -15,8 +15,8 @@ oracle handles at the bottom of this module, which count every fresh
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from functools import partial
 from math import gcd
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -78,8 +78,11 @@ class Language:
         if self.modulus and elems:
             raise ConfigError("a language has a modulus or elements, not both")
         if isinstance(elems, range):
-            if not elems or elems.start != 1 or elems.step != 1:
-                raise ConfigError(f"a prefix language is range(1, b + 1), got {elems!r}")
+            # len() of a range must fit in a machine-size int
+            if not elems or elems.start != 1 or elems.step != 1 or elems.stop > sys.maxsize:
+                raise ConfigError(
+                    f"a prefix language is range(1, b + 1), b < {sys.maxsize}, got {elems!r}"
+                )
         elif elems:
             if list(elems) != sorted(set(elems)):
                 raise ConfigError("finite language elements must be sorted and distinct")
@@ -394,10 +397,10 @@ class CandidateSet:
 
 
 def _element_tuple(elements: Iterable[int]) -> tuple[int, ...]:
-    out = sorted(set(elements))
-    for x in out:
+    out = list(elements)
+    for x in out:  # before sorting, which fails on mixed or unhashable types
         _check_element(x)
-    return tuple(out)
+    return tuple(sorted(set(out)))
 
 
 def _brace(elements: Iterable[int]) -> str:
@@ -654,19 +657,3 @@ class CandidateOracle:
             if cache is not None:
                 cache[x] = value
         return value
-
-
-class LanguageCandidateOracle:
-    """Candidate handle whose set is the i-th collection language.
-
-    Used by the detector-to-identifier reduction, where each probed
-    index doubles as the set under test: ``member(x)`` is the collection
-    oracle's ``member(index, x)``, so its queries inherit that handle's
-    purpose and cache.
-    """
-
-    __slots__ = ("member", "index")
-
-    def __init__(self, oracle: CollectionOracle, index: int) -> None:
-        self.member: Callable[[int], bool] = partial(oracle.member, index)
-        self.index = index

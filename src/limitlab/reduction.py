@@ -11,13 +11,12 @@ least index passing both is the guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Optional
 
 from .detectors import ScanDetector
-from .identifiers import ConsistentIndices, Inapplicable
-from .languages import CollectionOracle
-
-DetectorFactory = Callable[[int], ScanDetector]
+from .identifiers import ConsistentIndices, Inapplicable, make_identifier
+from .languages import Collection, CollectionOracle
 
 
 @dataclass(frozen=True)
@@ -33,21 +32,22 @@ class RoundState:
 
 
 class ReductionIdentifier:
-    """Identifier assembled from a detector factory over one collection.
+    """Identifier rebuilt from one collection's per-index detectors.
 
-    ``detector_factory(i)`` must build a fresh deterministic
-    ``ScanDetector`` whose candidate set is the i-th language. All of
-    them would make the same guesses, so by default one guess tape feeds
-    the pool: the first detector's identifier is stepped once per round,
-    and each pooled index keeps only its scan state. A new index catches
-    up with one scan per distinct past guess g, over x up to the last
-    step that guessed g, which queries the keys a step-by-step replay
-    would. An ``Inapplicable`` from the tape at step s pins every index
-    to 0 from round s on, since every replay reaches step s. By
-    determinism this matches the literal protocol of rebuilding every
-    detector from scratch each round; pass ``fresh_copies=True`` to run
-    that quadratic protocol verbatim, with private identifiers, for
-    differential testing.
+    The detector for index i is a ``ScanDetector`` that tests L_i as the
+    candidate set, with the identifier named ``identifier`` inside; its
+    candidate, sweep and identifier queries all go to
+    ``detector_oracle``. All of them would make the same guesses, so by
+    default one guess tape, built here, feeds the pool: it is stepped
+    once per round, and each pooled index keeps only its scan state. A
+    new index catches up with one scan per distinct past guess g, over x
+    up to the last step that guessed g, which queries the keys a
+    step-by-step replay would. An ``Inapplicable`` from the tape at step
+    s pins every index to 0 from round s on, since every replay reaches
+    step s. By determinism this matches the literal protocol of
+    rebuilding every detector from scratch each round; pass
+    ``fresh_copies=True`` to run that quadratic protocol verbatim, with
+    private identifiers, for differential testing.
 
     A detector that reports itself inapplicable pins its index's verdict
     to 0 and is recorded in the round dumps rather than aborting the run.
@@ -57,28 +57,32 @@ class ReductionIdentifier:
 
     def __init__(
         self,
-        detector_factory: DetectorFactory,
+        collection: Collection,
+        identifier: str,
+        detector_oracle: CollectionOracle,
         consistency_oracle: CollectionOracle,
         fresh_copies: bool = False,
     ) -> None:
-        self._factory = detector_factory
+        self._new_identifier = partial(make_identifier, identifier, collection, detector_oracle)
+        self._oracle = detector_oracle
         self._consistent = ConsistentIndices(consistency_oracle)
         self._fresh_copies = fresh_copies
         self.t = 0
-        self._prefix: list[int] = []
+        self._prefix: list[int] = []           # fresh copies replay it
         self._pool: dict[int, ScanDetector] = {}
-        self._tape = None                      # the pool's one identifier
+        # the pool's one identifier; fresh copies keep a private one each
+        self._tape = None if fresh_copies else self._new_identifier()
         self._tape_stopped = False             # its step raised Inapplicable
         self._last_guessed: dict[int, int] = {}  # tape guess -> last step with it
         self._inapplicable: set[int] = set()
-        self.guesses: list[int] = []
         self.last_round: Optional[RoundState] = None
+
+    def _detector(self, index: int, identifier) -> ScanDetector:
+        return ScanDetector(identifier, partial(self._oracle.member, index), self._oracle)
 
     def _pool_verdicts(self, w: int) -> list[int]:
         t = self.t
-        new = self._factory(t)
-        if self._tape is None:
-            self._tape = new.identifier
+        new = self._detector(t, self._tape)
         if not self._tape_stopped:
             try:
                 guess = self._tape.step(w)
@@ -99,7 +103,7 @@ class ReductionIdentifier:
 
     def _fresh_verdict(self, index: int) -> int:
         try:
-            detector = self._factory(index)
+            detector = self._detector(index, self._new_identifier())
             verdict = 0
             for x in self._prefix:
                 verdict = detector.step(x)
@@ -110,11 +114,11 @@ class ReductionIdentifier:
 
     def step(self, w: int) -> int:
         t = self.t = self.t + 1
-        self._prefix.append(w)
         self._consistent.see(w)
         self._consistent.admit(t)
         consistent = self._consistent.alive
         if self._fresh_copies:
+            self._prefix.append(w)
             verdicts = [
                 0 if i in self._inapplicable else self._fresh_verdict(i)
                 for i in range(1, t + 1)
@@ -125,7 +129,6 @@ class ReductionIdentifier:
             i for i in range(1, t + 1) if i in consistent and verdicts[i - 1] == 1
         )
         guess = accepted[0] if accepted else 1
-        self.guesses.append(guess)
         self.last_round = RoundState(
             t=t,
             consistent=tuple(sorted(consistent)),

@@ -273,26 +273,20 @@ def test_criterion_7_determinism_and_monotonicity():
         # antitone consistency over reduction transcripts, via round traces
         from limitlab.languages import (
             CollectionOracle,
-            LanguageCandidateOracle,
             PURPOSE_CONSISTENCY,
             PURPOSE_DETECTOR,
             QueryLedger,
         )
-        from limitlab.detectors import ScanDetector
-        from limitlab.identifiers import TelltaleIdentifier
         from limitlab.reduction import ReductionIdentifier
         from limitlab import EnumerationStream
 
         for cid, k in (("multiples", 4), ("finite_prefixes", 6), ("finite_sets", 7)):
             collection = CATALOG[cid]
             ledger = QueryLedger()
-            detector_oracle = CollectionOracle(collection, ledger, PURPOSE_DETECTOR)
             reduction = ReductionIdentifier(
-                lambda i: ScanDetector(
-                    TelltaleIdentifier(collection, detector_oracle),
-                    LanguageCandidateOracle(detector_oracle, i),
-                    detector_oracle,
-                ),
+                collection,
+                "telltale",
+                CollectionOracle(collection, ledger, PURPOSE_DETECTOR),
                 CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY),
             )
             stream = EnumerationStream(collection.language(k), Strategy("repeat_heavy", seed=3))

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,6 +291,9 @@ BAD_FIELDS = [
     (("adversary",), {"strategy": "delay_pattern", "params": {"period": "x"}}),
     (("adversary",), {"strategy": "repeat_heavy", "params": {"repeat_prob": ["1", 2]}}),
     (("adversary",), {"strategy": "repeat_heavy", "params": {"repeat_prob": "1/2"}}),
+    (("candidate",), {"kind": "explicit_finite", "params": {"elements": ["a", 1]}}),
+    (("candidate",), {"kind": "explicit_finite", "params": {"elements": [[1]]}}),
+    (("candidate",), {"kind": "explicit_finite", "params": {"elements": [{}, 2]}}),
 ]
 
 
@@ -326,12 +332,32 @@ def test_malformed_scenario_files_exit_2(tmp_path, capsys, argv, text):
          "--telltale", "1000000"],
         ["run", "--collection", "multiples", "--target", "2", "--identifier", "telltale",
          "--strategy", "repeat_heavy", "--repeat-prob", "1/x"],
+        ["run", "--collection", "finite_prefixes", "--target", "9" * 20,
+         "--identifier", "telltale", "--horizon", "5"],
     ],
 )
 def test_malformed_flags_exit_2(tmp_path, capsys, argv):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     code, _, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
     assert code == 2 and err.startswith("error:"), err
+
+
+def test_out_that_is_a_file_exits_2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    scenarios = tmp_path / "scenarios.json"
+    scenarios.write_text(json.dumps({"scenarios": [BASE_SCENARIO]}))
+    commands = [
+        ["run", "--collection", "multiples", "--target", "2", "--identifier", "telltale",
+         "--horizon", "5"],
+        ["sweep", "--scenarios", str(scenarios)],
+        ["roundtrip", "--collection", "finite_prefixes", "--target", "2", "--horizon", "10"],
+        ["check-angluin", "--collection", "finite_prefixes", "--index", "2"],
+    ]
+    for argv in commands:
+        for out in (afile, afile / "sub"):
+            code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+            assert code == 2 and err.startswith("error:"), (argv, out, err)
 
 
 def _field_paths(node, prefix=()):
@@ -360,3 +386,79 @@ def test_scenario_field_fuzz_exit_codes(tmp_path_factory, path, value):
     (tmp / "scenario.json").write_text(json.dumps(with_field(path, value)))
     code = main(["run", "--scenario", str(tmp / "scenario.json"), "--out", str(tmp / "out")])
     assert code in (0, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: small flag values, one in eight malformed, horizons of at most 40
+
+MALFORMED = st.sampled_from(["", "x", "1.5", "-1", "0", "{1}", "1/0", "1,2", "9" * 20])
+SMALL = st.integers(min_value=1, max_value=12).map(str)
+ELEMENTS = st.lists(SMALL, max_size=3).map(",".join)
+CANDIDATE_FLAG = st.one_of(
+    st.sampled_from(["all", "empty"]),
+    SMALL.map("lang:%s".__mod__),
+    st.tuples(SMALL, st.sampled_from("+-"), ELEMENTS).map("lang:%s%s{%s}".__mod__),
+    ELEMENTS.map("set:{%s}".__mod__),
+)
+STRATEGY_FLAGS = {
+    "--strategy": st.sampled_from(["canonical", "repeat_heavy", "block_shuffle", "delay_pattern"]),
+    "--seed": st.integers(min_value=0, max_value=5).map(str),
+    "--repeat-prob": st.sampled_from(["1/2", "3/4", "0/1"]),
+    "--block-growth": st.integers(min_value=1, max_value=4).map(str),
+    "--period": st.integers(min_value=1, max_value=4).map(str),
+}
+COLLECTION_FLAG = st.sampled_from(sorted(CATALOG))
+TARGET_FLAGS = {"--collection": COLLECTION_FLAG, "--target": SMALL}
+IDENTIFIER_FLAG = st.sampled_from(["telltale", "consistency_min"])
+# subcommand -> (choices of required flags, optional flags); a None value is a bare flag
+COMMANDS = {
+    "run": (
+        [
+            {**TARGET_FLAGS, "--detector": st.just("negex"), "--g": CANDIDATE_FLAG},
+            {**TARGET_FLAGS, "--detector": st.sampled_from(["alg1", "alg2"]),
+             "--identifier": IDENTIFIER_FLAG, "--g": CANDIDATE_FLAG},
+            {**TARGET_FLAGS, "--identifier": IDENTIFIER_FLAG},
+        ],
+        {**STRATEGY_FLAGS, "--id": st.sampled_from(["a", "b-1", "../x"])},
+    ),
+    "roundtrip": ([TARGET_FLAGS], {**STRATEGY_FLAGS, "--fresh-copies": st.none()}),
+    "check-angluin": (
+        [{"--collection": COLLECTION_FLAG, "--index": SMALL}],
+        {
+            "--telltale": ELEMENTS,
+            "--bounds": st.tuples(st.integers(1, 40), st.integers(1, 40)).map("%d,%d".__mod__),
+        },
+    ),
+    "catalog": ([{}], {"--bogus": st.none()}),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    choices, optional = COMMANDS[command]
+    required = draw(st.sampled_from(choices))
+    flags = {**required, **optional}
+    argv = [command]
+    for flag in [*required, *draw(st.lists(st.sampled_from(sorted(optional)), unique=True))]:
+        value = draw(MALFORMED if draw(st.integers(0, 7)) == 0 else flags[flag])
+        argv.append(flag if value is None else f"{flag}={value}")
+    if command in ("run", "roundtrip"):
+        argv.append(f"--horizon={draw(st.integers(min_value=-1, max_value=40))}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_argv())
+def test_cli_argv_fuzz_exit_codes(argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        out = tmp / "out"
+        os.chdir(tmp)  # a write to a relative default path would land here
+        try:
+            code = main(argv + (["--out", str(out)] if argv[0] != "catalog" else []))
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2, 3) and (code != 1 or argv[0] == "roundtrip"), argv
+        assert all(out in (path, *path.parents) for path in tmp.rglob("*")), argv

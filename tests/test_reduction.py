@@ -6,13 +6,11 @@ from limitlab import (
     EnumerationStream,
     GameScenario,
     Language,
-    LanguageCandidateOracle,
     QueryLedger,
     ReductionIdentifier,
     ScanDetector,
     Strategy,
     catalog,
-    harness,
     run_game,
 )
 from limitlab.identifiers import (
@@ -40,17 +38,10 @@ COLLECTIONS = dict(CATALOG, gapped=GAPPED)
 
 
 def build_reduction(collection, ledger, fresh_copies=False, identifier="telltale"):
-    detector_oracle = CollectionOracle(collection, ledger, PURPOSE_DETECTOR)
-
-    def factory(index):
-        return ScanDetector(
-            make_identifier(identifier, collection, detector_oracle),
-            LanguageCandidateOracle(detector_oracle, index),
-            detector_oracle,
-        )
-
     return ReductionIdentifier(
-        factory,
+        collection,
+        identifier,
+        CollectionOracle(collection, ledger, PURPOSE_DETECTOR),
         CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY),
         fresh_copies=fresh_copies,
     )
@@ -102,7 +93,12 @@ def test_pool_matches_fresh_detector_spot_check():
     prefix = EnumerationStream(PREFIXES.language(3)).take(5)
     _, reduction, ledger, _ = drive(PREFIXES, prefix)
     assert 3 in reduction._pool
-    fresh = build_reduction(PREFIXES, ledger)._factory(3)
+    detector_oracle = CollectionOracle(PREFIXES, ledger, PURPOSE_DETECTOR)
+    fresh = ScanDetector(
+        TelltaleIdentifier(PREFIXES, detector_oracle),
+        lambda x: detector_oracle.member(3, x),
+        detector_oracle,
+    )
     verdict = None
     for w in prefix:
         verdict = fresh.step(w)
@@ -165,7 +161,7 @@ def test_pooled_run_steps_one_identifier_and_replays_no_detector(
         calls["made"] += 1
         return make_identifier(*args)
 
-    monkeypatch.setattr(harness, "make_identifier", counting_make_identifier)
+    monkeypatch.setattr("limitlab.reduction.make_identifier", counting_make_identifier)
 
     def run(horizon, fresh_copies):
         calls.update(identifier=0, detector=0, made=0)
