@@ -34,8 +34,6 @@ class ScanDetector:
     index up with one ``scan`` per distinct past guess.
     """
 
-    name = "alg1"
-
     def __init__(
         self,
         identifier: _Identifier,
@@ -76,8 +74,6 @@ class NegativeExampleDetector:
     label 0 while the candidate claims it. Exactly one fresh candidate
     query per 0-labeled step before the witness is found, none after.
     """
-
-    name = "negex"
 
     def __init__(self, candidate: CandidateOracle) -> None:
         self._candidate = candidate

@@ -31,7 +31,6 @@ from .languages import (
     CollectionOracle,
     ConfigError,
     Language,
-    PURPOSE_CANDIDATE,
     PURPOSE_CONSISTENCY,
     PURPOSE_DETECTOR,
     PURPOSES,
@@ -87,7 +86,6 @@ class Transcript:
     meta: dict
     rows: list[StepRecord] = field(default_factory=list)
     final_state: Optional[RoundState] = None
-    identifier_guesses: Optional[list[int]] = None  # in-memory extra for alg1 runs
 
 
 @dataclass(frozen=True)
@@ -183,40 +181,32 @@ def run_game(
     target = collection.language(scenario.target_index)
     alg = scenario.algorithm
     ledger = QueryLedger()
-    ground_truth: Optional[bool] = None
-    identifier_ref = None
+    consistency = CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY)
+    detector = CollectionOracle(collection, ledger, PURPOSE_DETECTOR)
+    # validation gives detection games, and only them, a candidate
+    candidate = scenario.candidate
+    ground_truth = None if candidate is None else candidate_subset_of(candidate, target)
 
     if alg == "negex":
         stream: object = LabeledStream(target, scenario.strategy)
-        candidate_oracle = CandidateOracle(scenario.candidate, ledger, cached=False)
-        algorithm: object = NegativeExampleDetector(candidate_oracle)
-        ground_truth = candidate_subset_of(scenario.candidate, target)
-    elif alg == "alg1":
+        algorithm: object = NegativeExampleDetector(
+            CandidateOracle(candidate, ledger, cached=False)
+        )
+    else:
         stream = EnumerationStream(target, scenario.strategy)
-        identifier_ref = make_identifier(
-            scenario.identifier, collection,
-            CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY),
-        )
-        algorithm = ScanDetector(
-            identifier_ref,
-            CandidateOracle(scenario.candidate, ledger, cached=True).member,
-            CollectionOracle(collection, ledger, PURPOSE_DETECTOR),
-        )
-        ground_truth = candidate_subset_of(scenario.candidate, target)
-    elif alg in ("telltale", "consistency_min"):
-        stream = EnumerationStream(target, scenario.strategy)
-        algorithm = make_identifier(
-            alg, collection, CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY)
-        )
-    else:  # alg2
-        stream = EnumerationStream(target, scenario.strategy)
-        algorithm = ReductionIdentifier(
-            collection,
-            scenario.identifier,
-            CollectionOracle(collection, ledger, PURPOSE_DETECTOR),
-            CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY),
-            fresh_copies=scenario.fresh_copies,
-        )
+        if alg == "alg1":
+            algorithm = ScanDetector(
+                make_identifier(scenario.identifier, collection, consistency),
+                CandidateOracle(candidate, ledger, cached=True).member,
+                detector,
+            )
+        elif alg == "alg2":
+            algorithm = ReductionIdentifier(
+                collection, scenario.identifier, detector, consistency,
+                fresh_copies=scenario.fresh_copies,
+            )
+        else:
+            algorithm = make_identifier(alg, collection, consistency)
 
     # Rows are built after the loop, from columns, and hold completed
     # steps only; an interrupted step's queries stay in the ledger totals.
@@ -242,17 +232,13 @@ def run_game(
         StepRecord, range(1, len(outputs) + 1), ws, ys, outputs,
         *map(ledger.per_step, PURPOSES),
     ))
-
-    transcript = Transcript(meta=_transcript_meta(scenario), rows=rows)
-    if alg == "alg2":
-        transcript.final_state = algorithm.last_round
-    if identifier_ref is not None:
-        transcript.identifier_guesses = list(identifier_ref.guesses)
+    final_state = algorithm.last_round if alg == "alg2" else None
+    transcript = Transcript(_transcript_meta(scenario), rows, final_state)
 
     report = None
     if status == "ok":
-        if alg in DETECTION_ALGORITHMS:
-            expected = 1 if ground_truth else 0
+        if ground_truth is not None:
+            expected = int(ground_truth)
             report = analyze_stabilization(outputs, lambda v: v == expected)
         else:
             k = scenario.target_index
@@ -309,30 +295,20 @@ def run_sweep(
 def _sweep_row(
     scenario: GameScenario, outcome: Optional[RunOutcome], status: str, detail: Optional[str]
 ) -> dict:
-    row = {
-        "scenario_id": scenario.scenario_id,
-        "algorithm": scenario.algorithm,
-        "stabilized": "",
-        "t_star": "",
-        "correct_at_horizon": "",
-        "candidate_queries": "",
-        "consistency_queries": "",
-        "detector_queries": "",
-        "status": status,
-        "detail": detail or "",
-    }
+    values = {"scenario_id": scenario.scenario_id, "algorithm": scenario.algorithm,
+              "status": status, "detail": detail}
     if outcome is not None:
-        totals = outcome.ledger.totals_by_purpose()
-        row["candidate_queries"] = totals[PURPOSE_CANDIDATE]
-        row["consistency_queries"] = totals[PURPOSE_CONSISTENCY]
-        row["detector_queries"] = totals[PURPOSE_DETECTOR]
-        if outcome.report is not None:
-            row["stabilized"] = "true" if outcome.report.stabilized else "false"
-            row["t_star"] = "" if outcome.report.t_star is None else outcome.report.t_star
-            row["correct_at_horizon"] = (
-                "true" if outcome.report.correct_at_horizon else "false"
-            )
-    return row
+        values.update(_report_fields(outcome.report))
+        for purpose, total in outcome.ledger.totals_by_purpose().items():
+            values[f"{purpose}_queries"] = total
+    return {column: _csv_cell(values.get(column)) for column in SWEEP_COLUMNS}
+
+
+def _csv_cell(value):
+    """Bools as true/false, None as an empty cell."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else value
 
 
 def sweep_to_csv(rows: Iterable[dict]) -> str:
@@ -613,7 +589,7 @@ def run_roundtrip(
 
 def least_nonmember(language: Language) -> Optional[int]:
     """Smallest domain element outside the language, None when it is everything."""
-    if candidate_subset_of(domain_candidate(), language):
+    if language.modulus == 1:
         return None
     x = 1
     while language.member(x):

@@ -11,6 +11,8 @@ always-consistent superset.
 
 from __future__ import annotations
 
+from bisect import insort
+
 from .languages import Collection, CollectionOracle, ConfigError
 
 
@@ -21,9 +23,10 @@ class Inapplicable(RuntimeError):
 class ConsistentIndices:
     """Seen elements, and the admitted indices whose language holds them all.
 
-    ``admit`` vets an index against the seen list once; ``see`` checks
-    survivors only against a newly seen element. Consistency is antitone
-    in the seen set, which only grows, so a dropped index never returns.
+    ``alive`` lists the survivors in ascending order. ``admit`` vets an
+    index against the seen list once; ``see`` checks survivors only
+    against a newly seen element. Consistency is antitone in the seen
+    set, which only grows, so a dropped index never returns.
     In round t the survivors lie below t and at most t elements have been
     seen, so seeing w and admitting t cost at most (t-1) + t = 2t-1 queries.
     """
@@ -34,7 +37,7 @@ class ConsistentIndices:
         self._oracle = oracle
         self.seen_list: list[int] = []
         self.seen: set[int] = set()
-        self.alive: set[int] = set()
+        self.alive: list[int] = []
 
     def see(self, w: int) -> bool:
         """Record w; drop the survivors that miss it. True when w is new."""
@@ -43,7 +46,7 @@ class ConsistentIndices:
         self.seen.add(w)
         self.seen_list.append(w)
         member = self._oracle.member
-        self.alive.difference_update([i for i in self.alive if not member(i, w)])
+        self.alive = [i for i in self.alive if member(i, w)]
         return True
 
     def admit(self, index: int) -> None:
@@ -51,10 +54,11 @@ class ConsistentIndices:
         for x in self.seen_list:
             if not member(index, x):
                 return
-        self.alive.add(index)
+        # a tell-tale index admitted late can lie below the survivors
+        insort(self.alive, index)
 
     def least(self) -> int:
-        return min(self.alive) if self.alive else 1
+        return self.alive[0] if self.alive else 1
 
 
 class _IndexIdentifier:
@@ -72,7 +76,6 @@ class _IndexIdentifier:
         self._indices = ConsistentIndices(oracle)
         # missing telltale element -> (index, telltale) pairs waiting on it
         self._waiting: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        self.guesses: list[int] = []
 
     @property
     def seen(self) -> frozenset:
@@ -92,9 +95,7 @@ class _IndexIdentifier:
         if is_new:
             for index, telltale in self._waiting.pop(w, ()):
                 self._admit(index, telltale)
-        guess = self._indices.least()
-        self.guesses.append(guess)
-        return guess
+        return self._indices.least()
 
 
 class TelltaleIdentifier(_IndexIdentifier):

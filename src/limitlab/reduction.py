@@ -53,8 +53,6 @@ class ReductionIdentifier:
     to 0 and is recorded in the round dumps rather than aborting the run.
     """
 
-    name = "alg2"
-
     def __init__(
         self,
         collection: Collection,
@@ -125,13 +123,11 @@ class ReductionIdentifier:
             ]
         else:
             verdicts = self._pool_verdicts(w)
-        accepted = tuple(
-            i for i in range(1, t + 1) if i in consistent and verdicts[i - 1] == 1
-        )
+        accepted = tuple(i for i in consistent if verdicts[i - 1] == 1)
         guess = accepted[0] if accepted else 1
         self.last_round = RoundState(
             t=t,
-            consistent=tuple(sorted(consistent)),
+            consistent=tuple(consistent),
             verdicts=tuple(verdicts),
             accepted=accepted,
             guess=guess,

@@ -14,7 +14,9 @@ from contextlib import contextmanager
 import pytest
 
 from limitlab import (
+    CollectionOracle,
     GameScenario,
+    QueryLedger,
     Strategy,
     catalog,
     check_angluin,
@@ -37,6 +39,8 @@ from limitlab.harness import (
     VERDICT_VIOLATION,
     identification_grid,
 )
+from limitlab.identifiers import make_identifier
+from limitlab.languages import PURPOSE_CONSISTENCY
 
 from tests.oracles import extensional_subset, least_escape, negex_expected_t_star
 
@@ -87,7 +91,12 @@ def test_criterion_2_scan_detector_on_identifiable_collections():
             assert report.stabilized and report.correct_at_horizon, scenario.scenario_id
             collection = CATALOG[scenario.collection_id]
             k = scenario.target_index
-            guesses = outcome.transcript.identifier_guesses
+            # the inner identifier's guesses, replayed over the transcript's w column
+            identifier = make_identifier(
+                scenario.identifier, collection,
+                CollectionOracle(collection, QueryLedger(), PURPOSE_CONSISTENCY),
+            )
+            guesses = [identifier.step(row.w) for row in outcome.transcript.rows]
             settle = len(guesses) + 1
             for t in range(len(guesses), 0, -1):
                 if collection.equals(guesses[t - 1], k):

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitlab import (
+    CollectionOracle,
     GameScenario,
     LabeledStream,
+    QueryLedger,
     Strategy,
     candidate_subset_of,
     catalog,
@@ -13,6 +15,8 @@ from limitlab import (
     run_game,
     union_candidate,
 )
+from limitlab.identifiers import make_identifier
+from limitlab.languages import PURPOSE_CONSISTENCY
 
 from tests.oracles import negex_expected_t_star, negex_flag_step, sim_scan_verdicts
 
@@ -25,6 +29,15 @@ def run(scenario):
     outcome = run_game(scenario, CATALOG)
     assert outcome.status == "ok"
     return outcome
+
+
+def inner_guesses(outcome, collection):
+    """An alg1 run's identifier guesses: a fresh identifier over its w column."""
+    identifier = make_identifier(
+        outcome.scenario.identifier, collection,
+        CollectionOracle(collection, QueryLedger(), PURPOSE_CONSISTENCY),
+    )
+    return [identifier.step(row.w) for row in outcome.transcript.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +54,7 @@ def test_scan_detector_flags_superset_candidate():
     # identifier correct from t=3; the witness element 4 enters the scan at t=4
     assert verdicts == [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
     assert outcome.report.stabilized and outcome.report.t_star == 4
-    assert outcome.transcript.identifier_guesses[:4] == [1, 2, 3, 3]
+    assert inner_guesses(outcome, PREFIXES)[:4] == [1, 2, 3, 3]
 
 
 def test_scan_detector_accepts_contained_candidate():
@@ -95,7 +108,7 @@ def test_scan_detector_conditional_correctness_bound():
         identifier="telltale", horizon=200,
     )
     outcome = run(scenario)
-    guesses = outcome.transcript.identifier_guesses
+    guesses = inner_guesses(outcome, MULTIPLES)
     k = scenario.target_index
     settle = next(
         t for t in range(1, len(guesses) + 2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -167,6 +168,25 @@ def test_sweep_is_byte_identical_across_runs():
     second = sweep_to_csv(run_sweep(scenarios, catalog()))
     assert first == second
     assert first.endswith("\n")
+
+
+def test_sweep_csv_is_pinned_for_a_mixed_sweep():
+    # ok, unstabilized, inapplicable and error rows; the error detail holds commas
+    scenarios = [
+        GameScenario("ok-negex", "multiples", 2, "negex",
+                     candidate=language_candidate(MULTIPLES, 4), horizon=12),
+        GameScenario("ok-alg1", "finite_prefixes", 3, "alg1", identifier="telltale",
+                     candidate=language_candidate(PREFIXES, 4), horizon=12),
+        GameScenario("ok-alg2", "multiples", 3, "alg2", identifier="telltale", horizon=12),
+        GameScenario("unstabilized", "multiples", 2, "consistency_min", horizon=12),
+        GameScenario("inapplicable", "finite_plus_all", 2, "telltale", horizon=12),
+        GameScenario("error-commas", "multiples", 2, "nosuch", horizon=12),
+    ]
+    text = sweep_to_csv(run_sweep(scenarios, CATALOG))
+    assert '"algorithm: unknown name \'nosuch\' (known: telltale, ' in text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7cb29139c73088568159d2b7d7c7eeec3236f8245fa3272e87543cc08f01cf81"
+    )
 
 
 def test_sweep_captures_failures_and_continues():

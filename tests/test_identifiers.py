@@ -1,19 +1,23 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from limitlab import (
+    Collection,
     CollectionOracle,
     ConsistencyMinIdentifier,
     EnumerationStream,
     GameScenario,
     Inapplicable,
+    Language,
     QueryLedger,
+    ReductionIdentifier,
     Strategy,
     TelltaleIdentifier,
     catalog,
     run_game,
 )
 from limitlab.harness import identification_grid
-from limitlab.languages import PURPOSE_CONSISTENCY
+from limitlab.languages import PURPOSE_CONSISTENCY, PURPOSE_DETECTOR
 
 from tests.oracles import rule_consistency_guesses, rule_telltale_guesses
 
@@ -137,6 +141,81 @@ def test_seen_set_is_monotone():
         identifier.step(w)
         assert previous <= identifier.seen
         previous = identifier.seen
+
+
+# A small family repeated with period len(languages), with arbitrary
+# tell-tales, so that a waiting index is often admitted below survivors.
+@st.composite
+def periodic_collections(draw):
+    languages = draw(st.lists(
+        st.one_of(
+            st.integers(1, 4).map(lambda m: Language(modulus=m)),
+            st.frozensets(st.integers(1, 12), max_size=4).map(
+                lambda xs: Language(elements=tuple(sorted(xs)))
+            ),
+        ),
+        min_size=1, max_size=6,
+    ))
+    n = len(languages)
+    telltales = draw(st.lists(
+        st.frozensets(st.integers(1, 12), max_size=2).map(lambda xs: tuple(sorted(xs))),
+        min_size=n, max_size=n,
+    ))
+    return Collection(
+        id="periodic",
+        family=lambda i: languages[(i - 1) % n],
+        telltale=lambda i: telltales[(i - 1) % n],
+    )
+
+
+# Index 2 (the multiples of 3) survives at step 3, when element 12 admits
+# the waiting index 1 (the even numbers) below it.
+LATE_BELOW = Collection(
+    id="late-below",
+    family=lambda i: Language(modulus=2 if i % 2 else 3),
+    telltale=lambda i: (12,) if i % 2 else (6,),
+)
+
+
+def brute_consistent(collection, seen, t, telltales=False):
+    """Indices i <= t holding every seen element (and, if asked, their tell-tale)."""
+    return [
+        i for i in range(1, t + 1)
+        if all(collection.member(i, x) for x in seen)
+        and (not telltales or set(collection.telltale(i)) <= seen)
+    ]
+
+
+@example(collection=LATE_BELOW, prefix=[6, 6, 12, 6])
+@given(collection=periodic_collections(), prefix=st.lists(st.integers(1, 12), max_size=16))
+@settings(max_examples=150, deadline=None)
+def test_consistent_indices_stay_ascending_and_exact(collection, prefix):
+    ledger = QueryLedger()
+    identifiers = {
+        cls: cls(collection, CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY))
+        for cls in (TelltaleIdentifier, ConsistencyMinIdentifier)
+    }
+    reduction = ReductionIdentifier(
+        collection, "telltale",
+        CollectionOracle(collection, ledger, PURPOSE_DETECTOR),
+        CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY),
+    )
+    seen = set()
+    for t, w in enumerate(prefix, start=1):
+        ledger.begin_step(t)
+        seen.add(w)
+        for cls, identifier in identifiers.items():
+            guess = identifier.step(w)
+            alive = identifier._indices.alive
+            assert alive == brute_consistent(collection, seen, t, cls is TelltaleIdentifier)
+            assert all(a < b for a, b in zip(alive, alive[1:]))
+            assert guess == (alive[0] if alive else 1)
+        reduction.step(w)
+        state = reduction.last_round
+        expected = brute_consistent(collection, seen, t)
+        assert list(state.consistent) == reduction._consistent.alive == expected
+        assert all(a < b for a, b in zip(state.consistent, state.consistent[1:]))
+        assert state.accepted == tuple(i for i in expected if state.verdicts[i - 1] == 1)
 
 
 def test_stabilization_grid_telltale_identifier():
