@@ -19,7 +19,6 @@ from typing import Optional
 from .adversary import STRATEGY_NAMES, Strategy
 from .harness import (
     DETECTION_ALGORITHMS,
-    GameScenario,
     RunOutcome,
     check_angluin,
     DEFAULT_CHECK_BOUNDS,
@@ -34,19 +33,7 @@ from .harness import (
     transcript_to_jsonl,
 )
 from .identifiers import IDENTIFIER_NAMES, Inapplicable
-from .languages import (
-    CandidateSet,
-    Collection,
-    ConfigError,
-    catalog,
-    domain_candidate,
-    empty_candidate,
-    finite_candidate,
-    language_candidate,
-    minus_candidate,
-    resolve_collection,
-    union_candidate,
-)
+from .languages import ConfigError, catalog, resolve_collection
 
 ENV_OUTPUT_DIR = "LIMITLAB_OUT"
 
@@ -68,53 +55,46 @@ def _parse_elements(text: str) -> list[int]:
         raise ConfigError(f"element lists hold integers, got {text!r}") from None
 
 
-def parse_candidate_flag(
-    text: str, collection: Collection, collections: dict[str, Collection]
-) -> CandidateSet:
+def parse_candidate_flag(text: str) -> dict:
     """Grammar: lang:<i>, lang:<i>+{a,b}, lang:<i>-{a,b}, set:{a,b}, all, empty.
 
     Plus and minus segments may repeat and mix, applied left to right.
+    Returns the candidate's {kind, params} wire config, the form a
+    scenario file holds; lang:<i> leaves the collection to the scenario.
     """
     text = text.strip()
     if text == "all":
-        return domain_candidate()
+        return {"kind": "all_of_domain", "params": {}}
     if text == "empty":
-        return empty_candidate()
+        return {"kind": "empty", "params": {}}
     if text.startswith("set:"):
-        return finite_candidate(_parse_elements(text[4:]))
+        return {"kind": "explicit_finite", "params": {"elements": _parse_elements(text[4:])}}
     if not text.startswith("lang:"):
         raise ConfigError(
             f"candidate flag {text!r} not understood; use lang:<i>[+{{..}}|-{{..}}], "
             "set:{..}, all, or empty"
         )
     rest = text[5:]
-    cut = len(rest)
-    for mark in ("+", "-"):
-        pos = rest.find(mark)
-        if pos != -1:
-            cut = min(cut, pos)
+    cut = min((pos for pos in map(rest.find, "+-") if pos != -1), default=len(rest))
     try:
         index = int(rest[:cut])
     except ValueError:
         raise ConfigError(f"candidate flag {text!r}: lang needs an integer index") from None
-    candidate = language_candidate(collection, index)
+    config: dict = {"kind": "language_of", "params": {"index": index}}
     tail = rest[cut:]
     while tail:
         op = tail[0]
         end = tail.find("}")
         if op not in "+-" or end == -1:
             raise ConfigError(f"candidate flag {text!r}: malformed edit segment {tail!r}")
+        kind = "finite_union_with" if op == "+" else "finite_minus"
         elements = _parse_elements(tail[1 : end + 1])
-        candidate = (
-            union_candidate(candidate, elements)
-            if op == "+"
-            else minus_candidate(candidate, elements)
-        )
+        config = {"kind": kind, "params": {"base": config, "elements": elements}}
         tail = tail[end + 1 :]
-    return candidate
+    return config
 
 
-def _strategy_from_args(args: argparse.Namespace) -> Strategy:
+def _adversary_from_args(args: argparse.Namespace) -> dict:
     params: dict = {"block_growth": args.block_growth, "period": args.period}
     if args.strategy == "repeat_heavy":
         num, _, den = args.repeat_prob.partition("/")
@@ -124,7 +104,7 @@ def _strategy_from_args(args: argparse.Namespace) -> Strategy:
             raise ConfigError(
                 f"--repeat-prob wants numerator/denominator, got {args.repeat_prob!r}"
             ) from None
-    return Strategy.from_config({"strategy": args.strategy, "seed": args.seed, "params": params})
+    return {"strategy": args.strategy, "seed": args.seed, "params": params}
 
 
 def _load_json(path: str):
@@ -163,31 +143,26 @@ def _emit_run(outcome: RunOutcome, out_dir: Path) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     collections = catalog()
     if args.scenario:
-        scenario = scenario_from_config(_load_json(args.scenario), collections)
+        config = _load_json(args.scenario)
     else:
         if not args.collection or args.target is None:
             raise ConfigError("run: need --scenario FILE, or --collection and --target")
-        collection = resolve_collection(args.collection, collections)
-        strategy = _strategy_from_args(args)
-        if args.detector:
-            if not args.g:
-                raise ConfigError("run: detection needs a candidate via --g")
-            candidate = parse_candidate_flag(args.g, collection, collections)
-            game = dict(algorithm=args.detector, candidate=candidate, identifier=args.identifier)
-        elif args.identifier:
-            if args.g:
-                raise ConfigError("run: identification games take no --g")
-            game = dict(algorithm=args.identifier)
-        else:
+        if not (args.detector or args.identifier):
             raise ConfigError("run: pick an algorithm via --detector or --identifier")
-        scenario = GameScenario(
-            scenario_id=args.id,
-            collection_id=args.collection,
-            target_index=args.target,
-            strategy=strategy,
-            horizon=args.horizon,
-            **game,
-        )
+        # the inline flags, written as the scenario a file would hold
+        config = {
+            "scenario_id": args.id,
+            "collection": args.collection,
+            "target_index": args.target,
+            "candidate": parse_candidate_flag(args.g) if args.g else None,
+            "adversary": _adversary_from_args(args),
+            "algorithm": {
+                "name": args.detector or args.identifier,
+                "params": {"identifier": args.identifier},
+            },
+            "horizon": args.horizon,
+        }
+    scenario = scenario_from_config(config, collections)
     return _emit_run(run_game(scenario, collections), Path(args.out))
 
 
@@ -213,7 +188,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         args.collection,
         args.target,
         horizon=args.horizon,
-        strategy=_strategy_from_args(args),
+        strategy=Strategy.from_config(_adversary_from_args(args)),
         fresh_copies=args.fresh_copies,
     )
     out_path = Path(args.out) / (

@@ -647,6 +647,31 @@ def standard_strategies(seed: int) -> tuple[Strategy, ...]:
 STANDARD_SEEDS = (1, 2)
 
 
+def _grid(
+    algorithm: str, roster: Callable, collection_ids: Optional[Sequence[str]],
+    max_target: int, horizon: int, seeds: Sequence[int], identifier: Optional[str],
+    collections: Optional[Mapping[str, Collection]],
+) -> list[GameScenario]:
+    """Collections x targets x roster x seeds x standard strategies, where
+    the roster lists (tag, candidate) pairs and a None tag is left out of
+    the scenario id."""
+    collections = catalog() if collections is None else collections
+    scenarios = []
+    for cid in list(collections) if collection_ids is None else collection_ids:
+        collection = resolve_collection(cid, collections)
+        for k in range(1, max_target + 1):
+            for tag, candidate in roster(collection, k):
+                cell = f"{algorithm}-{cid}-k{k}" + ("" if tag is None else f"-{tag}")
+                scenarios.extend(
+                    GameScenario(f"{cell}-{strategy.name}-s{seed}", cid, k, algorithm,
+                                 candidate=candidate, identifier=identifier,
+                                 strategy=strategy, horizon=horizon)
+                    for seed in seeds
+                    for strategy in standard_strategies(seed)
+                )
+    return scenarios
+
+
 def detection_grid(
     algorithm: str,
     collection_ids: Optional[Sequence[str]] = None,
@@ -656,30 +681,8 @@ def detection_grid(
     identifier: Optional[str] = None,
     collections: Optional[Mapping[str, Collection]] = None,
 ) -> list[GameScenario]:
-    collections = catalog() if collections is None else collections
-    ids = list(collections) if collection_ids is None else list(collection_ids)
-    scenarios = []
-    for cid in ids:
-        collection = resolve_collection(cid, collections)
-        for k in range(1, max_target + 1):
-            for tag, candidate in standard_candidates(collection, k):
-                for seed in seeds:
-                    for strategy in standard_strategies(seed):
-                        scenarios.append(
-                            GameScenario(
-                                scenario_id=(
-                                    f"{algorithm}-{cid}-k{k}-{tag}-{strategy.name}-s{seed}"
-                                ),
-                                collection_id=cid,
-                                target_index=k,
-                                algorithm=algorithm,
-                                candidate=candidate,
-                                identifier=identifier,
-                                strategy=strategy,
-                                horizon=horizon,
-                            )
-                        )
-    return scenarios
+    return _grid(algorithm, standard_candidates, collection_ids, max_target, horizon,
+                 seeds, identifier, collections)
 
 
 def identification_grid(
@@ -691,25 +694,8 @@ def identification_grid(
     identifier: Optional[str] = None,
     collections: Optional[Mapping[str, Collection]] = None,
 ) -> list[GameScenario]:
-    collections = catalog() if collections is None else collections
-    scenarios = []
-    for cid in collection_ids:
-        resolve_collection(cid, collections)
-        for k in range(1, max_target + 1):
-            for seed in seeds:
-                for strategy in standard_strategies(seed):
-                    scenarios.append(
-                        GameScenario(
-                            scenario_id=f"{algorithm}-{cid}-k{k}-{strategy.name}-s{seed}",
-                            collection_id=cid,
-                            target_index=k,
-                            algorithm=algorithm,
-                            identifier=identifier,
-                            strategy=strategy,
-                            horizon=horizon,
-                        )
-                    )
-    return scenarios
+    return _grid(algorithm, lambda collection, k: [(None, None)], collection_ids,
+                 max_target, horizon, seeds, identifier, collections)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from limitlab import catalog
 from limitlab.cli import main, parse_candidate_flag
-from limitlab.languages import ConfigError
+from limitlab.languages import ConfigError, candidate_from_config
 
 CATALOG = catalog()
 
@@ -26,20 +26,35 @@ def run_cli(args, capsys):
 
 
 def test_candidate_flag_grammar():
-    m = CATALOG["multiples"]
-    assert parse_candidate_flag("lang:3", m, CATALOG).member(9)
-    g = parse_candidate_flag("lang:3+{4,5}", m, CATALOG)
+    def flag(text):
+        return candidate_from_config(parse_candidate_flag(text), CATALOG, "multiples")
+
+    assert flag("lang:3").member(9)
+    g = flag("lang:3+{4,5}")
     assert g.member(4) and g.member(5) and g.member(6)
-    g = parse_candidate_flag("lang:2-{4,8}", m, CATALOG)
+    g = flag("lang:2-{4,8}")
     assert g.member(2) and not g.member(4)
-    g = parse_candidate_flag("lang:1+{5}-{2}", m, CATALOG)
+    g = flag("lang:1+{5}-{2}")
     assert g.member(5) and not g.member(2) and g.member(3)
-    assert parse_candidate_flag("set:{1,2,3}", m, CATALOG).member(2)
-    assert parse_candidate_flag("all", m, CATALOG).member(123)
-    assert not parse_candidate_flag("empty", m, CATALOG).member(1)
+    assert parse_candidate_flag("lang:1+{5}-{2}") == {
+        "kind": "finite_minus",
+        "params": {
+            "base": {
+                "kind": "finite_union_with",
+                "params": {
+                    "base": {"kind": "language_of", "params": {"index": 1}},
+                    "elements": [5],
+                },
+            },
+            "elements": [2],
+        },
+    }
+    assert flag("set:{1,2,3}").member(2)
+    assert flag("all").member(123)
+    assert not flag("empty").member(1)
     for bad in ("lang:", "lang:2+{", "plain", "set:1,2"):
         with pytest.raises(ConfigError):
-            parse_candidate_flag(bad, m, CATALOG)
+            parse_candidate_flag(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +349,10 @@ def test_malformed_scenario_files_exit_2(tmp_path, capsys, argv, text):
          "--strategy", "repeat_heavy", "--repeat-prob", "1/x"],
         ["run", "--collection", "finite_prefixes", "--target", "9" * 20,
          "--identifier", "telltale", "--horizon", "5"],
+        ["run", "--collection", "multiples", "--target", "2", "--detector", "negex"],
+        ["run", "--collection", "multiples", "--target", "2", "--identifier", "telltale",
+         "--g", "lang:3"],
+        ["run", "--collection", "multiples", "--target", "2"],
     ],
 )
 def test_malformed_flags_exit_2(tmp_path, capsys, argv):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from limitlab import (
     detection_grid,
     domain_candidate,
     empty_candidate,
+    identification_grid,
     language_candidate,
     replay_certificate,
     run_game,
@@ -214,6 +216,42 @@ def test_block_growth_is_bounded_by_the_horizon():
     assert "block_growth" in rows["over"]["detail"]
 
 
+IDENTIFIABLE = ["multiples", "finite_prefixes", "finite_sets"]
+GRID_DIGESTS = {
+    "negex": (
+        lambda: detection_grid("negex"),
+        "98de73289661a95d5c4f1d24db9ae53f37142e0bc2d6a51797a0f3e9b38ae334",
+    ),
+    "alg1-telltale": (
+        lambda: detection_grid("alg1", ["multiples", "finite_prefixes"], identifier="telltale"),
+        "c082e90114af6f2653f8619580616b1515e1f44e0603d7ccc9dde14a3f60443b",
+    ),
+    "telltale": (
+        lambda: identification_grid("telltale", IDENTIFIABLE),
+        "0ce5bf3df65f3524292203983f8c83cf7088db2b6c51ca3b51a02348b9452c0b",
+    ),
+    "consistency_min": (
+        lambda: identification_grid("consistency_min", list(CATALOG)),
+        "d33071814e1e9c257c2e6f71ce1f5eb306632661c2074749ca745edb30226071",
+    ),
+    "alg1-consistency_min-small": (
+        lambda: detection_grid(
+            "alg1", ["finite_sets", "finite_plus_all"], max_target=3, horizon=77,
+            seeds=(5, 0), identifier="consistency_min",
+        ),
+        "5b79c4a4bf1b1acac2bd05fa9c703b827dda99997f1b1884577ba48f37e82773",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_DIGESTS))
+def test_standard_grids_are_pinned(name):
+    # ids, order and every field of each scenario, in the wire form
+    build, digest = GRID_DIGESTS[name]
+    text = json.dumps([scenario_to_config(s) for s in build()], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_sweep_rejects_duplicate_ids():
     scenario = GameScenario("same", "multiples", 2, "consistency_min", horizon=5)
     with pytest.raises(ConfigError):
@@ -251,20 +289,28 @@ def test_checker_multiples_singleton_telltale_reported_satisfied():
 
 def test_checker_closed_form_matches_bounded_search_on_small_indices():
     # Strip the closed form off a catalog copy to force the generic search.
-    for cid in ("finite_prefixes", "finite_sets"):
-        original = CATALOG[cid]
+    # Tell-tales: the catalog's, and every subset of at most 3 of the
+    # first 5 elements of L_i.
+    for original in CATALOG.values():
         stripped = Collection(
             id=original.id,
             family=original.language,
             telltale=original.telltale,
         )
         for i in range(1, 17):
-            exact = check_angluin(original, i, bounds=(256, 256))
-            searched = check_angluin(stripped, i, bounds=(256, 256))
-            if exact.verdict == VERDICT_SATISFIED:
-                assert searched.verdict == VERDICT_INCONCLUSIVE
-            else:
-                assert searched.verdict == exact.verdict
+            head, _ = original.language(i).first_elements(5)
+            telltales = [None] if original.telltale(i) is not None else []
+            telltales += [list(c) for r in range(4) for c in combinations(head, r)]
+            for telltale in telltales:
+                exact = check_angluin(original, i, telltale=telltale, bounds=(256, 256))
+                searched = check_angluin(stripped, i, telltale=telltale, bounds=(256, 256))
+                if exact.verdict == VERDICT_SATISFIED:
+                    assert searched.verdict == VERDICT_INCONCLUSIVE
+                else:
+                    assert searched.verdict == exact.verdict, (original.id, i, telltale)
+                for result in (exact, searched):
+                    if result.verdict == VERDICT_VIOLATION:
+                        assert replay_certificate(original, result), (original.id, i, telltale)
 
 
 def test_checker_requires_a_telltale():
@@ -279,6 +325,30 @@ def test_certificates_replay_through_membership_only():
         result = check_angluin(FINITE_PLUS_ALL, 1, telltale=telltale, bounds=(64, 64))
         assert result.verdict == VERDICT_VIOLATION
         assert replay_certificate(FINITE_PLUS_ALL, result)
+
+
+def test_forged_certificates_do_not_replay():
+    finite_sets = CATALOG["finite_sets"]
+    loose = check_angluin(MULTIPLES, 2, telltale=[8])  # witness L_8, strictness 2
+    finite = check_angluin(finite_sets, 3, telltale=[2])  # L_3 = {1, 2}, witness {2}
+    infinite = check_angluin(MULTIPLES, 2, telltale=[6])  # witness L_6, strictness 2
+    genuine = [(MULTIPLES, loose), (finite_sets, finite), (MULTIPLES, infinite)]
+    assert [(c.witness_index, c.strictness_element) for _, c in genuine] == [
+        (8, 2), (2, 1), (6, 2)
+    ]
+    assert all(replay_certificate(collection, c) for collection, c in genuine)
+    forgeries = [
+        (MULTIPLES, replace(loose, witness_index=None)),
+        (MULTIPLES, replace(loose, witness_index=3)),  # 8 is not in L_3
+        (MULTIPLES, replace(loose, strictness_element=3)),  # 3 is not in L_2
+        (MULTIPLES, replace(loose, strictness_element=16)),  # 16 is in L_8
+        (finite_sets, replace(finite, witness_index=6)),  # L_6 = {2, 3}
+        (MULTIPLES, replace(infinite, witness_index=3)),  # L_3 is not inside L_2
+    ]
+    for collection, forged in forgeries:
+        assert replay_certificate(collection, forged) is False, forged
+    with pytest.raises(ConfigError):
+        replay_certificate(PREFIXES, check_angluin(PREFIXES, 5))
 
 
 # ---------------------------------------------------------------------------
