@@ -12,6 +12,7 @@ exactly, and the generator name is recorded in transcripts.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from typing import Iterator, Mapping, Optional
@@ -105,7 +106,10 @@ def _presentation(language: Optional[Language], strategy: Strategy) -> Iterator[
     if strategy.name == "canonical":
         return source
     if strategy.name == "delay_pattern":
-        return chain.from_iterable(map(repeat, source, repeat(strategy.period)))
+        # repeat() takes a C ssize_t; no run reaches sys.maxsize steps, so the
+        # cap leaves every reachable prefix of the stream unchanged.
+        period = min(strategy.period, sys.maxsize)
+        return chain.from_iterable(map(repeat, source, repeat(period)))
     rng = random.Random(strategy.seed)
     if strategy.name == "block_shuffle":
         return _block_shuffle(source, rng, strategy.block_growth)

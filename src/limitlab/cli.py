@@ -154,7 +154,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "scenario_id": args.id,
             "collection": args.collection,
             "target_index": args.target,
-            "candidate": parse_candidate_flag(args.g) if args.g else None,
+            "candidate": None if args.g is None else parse_candidate_flag(args.g),
             "adversary": _adversary_from_args(args),
             "algorithm": {
                 "name": args.detector or args.identifier,

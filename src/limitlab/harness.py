@@ -16,9 +16,9 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import RNG_ALGORITHM, EnumerationStream, LabeledStream, Strategy
@@ -83,9 +83,22 @@ class StepRecord(NamedTuple):
 
 @dataclass
 class Transcript:
+    """Completed steps as ``StepRecord`` columns; ``rows`` builds the records."""
+
     meta: dict
-    rows: list[StepRecord] = field(default_factory=list)
+    t: range
+    w: list[int]
+    y: Optional[list[int]]  # labeled games only
+    output: list[int]
+    fresh_candidate: list[int]
+    fresh_consistency: list[int]
+    fresh_detector: list[int]
     final_state: Optional[RoundState] = None
+
+    @property
+    def rows(self) -> list[StepRecord]:
+        columns = [getattr(self, name) for name in StepRecord._fields]
+        return list(map(StepRecord, *[repeat(None) if c is None else c for c in columns]))
 
 
 @dataclass(frozen=True)
@@ -181,8 +194,8 @@ def run_game(
     target = collection.language(scenario.target_index)
     alg = scenario.algorithm
     ledger = QueryLedger()
-    consistency = CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY)
-    detector = CollectionOracle(collection, ledger, PURPOSE_DETECTOR)
+    consistency = CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY, cached=False)
+    detector = CollectionOracle(collection, ledger, PURPOSE_DETECTOR, cached=alg == "alg2")
     # validation gives detection games, and only them, a candidate
     candidate = scenario.candidate
     ground_truth = None if candidate is None else candidate_subset_of(candidate, target)
@@ -208,8 +221,7 @@ def run_game(
         else:
             algorithm = make_identifier(alg, collection, consistency)
 
-    # Rows are built after the loop, from columns, and hold completed
-    # steps only; an interrupted step's queries stay in the ledger totals.
+    # Columns hold completed steps; an interrupted step's queries stay in the totals.
     next_item, step, begin_step = stream.next, algorithm.step, ledger.begin_step
     items: list = []
     outputs: list[int] = []
@@ -219,21 +231,19 @@ def run_game(
         for t in range(1, scenario.horizon + 1):
             begin_step(t)
             item = next_item()
-            items.append(item)
             outputs.append(step(item))
+            items.append(item)
     except Inapplicable as exc:
         status = "inapplicable"
         detail = str(exc)
     if alg == "negex":
         ws, ys = [w for w, _ in items], [y for _, y in items]
     else:
-        ws, ys = items, repeat(None)
-    rows = list(map(
-        StepRecord, range(1, len(outputs) + 1), ws, ys, outputs,
-        *map(ledger.per_step, PURPOSES),
-    ))
+        ws, ys = items, None
+    counts = [ledger.per_step(p)[:len(outputs)] for p in PURPOSES]
     final_state = algorithm.last_round if alg == "alg2" else None
-    transcript = Transcript(_transcript_meta(scenario), rows, final_state)
+    transcript = Transcript(_transcript_meta(scenario), range(1, len(outputs) + 1),
+                            ws, ys, outputs, *counts, final_state)
 
     report = None
     if status == "ok":
@@ -767,11 +777,11 @@ def scenario_from_config(
 
 
 def _step_format(output_key: str, labeled: bool = False) -> tuple[str, Callable]:
-    """Row template and field getter for one shape of step record.
+    """Row template and column getter for one shape of step record.
 
-    ``json.dumps`` of a record whose values name ``StepRecord`` fields
+    ``json.dumps`` of a record whose values name ``Transcript`` columns
     fixes key order and spacing; each name then becomes ``%d``, and the
-    getter picks a row's fields in the order the names appeared.
+    getter picks a transcript's columns in the order the names appeared.
     """
     record = {
         "t": "<t>",
@@ -787,8 +797,7 @@ def _step_format(output_key: str, labeled: bool = False) -> tuple[str, Callable]
         record["y"] = "<y>"
     text = json.dumps(record, sort_keys=True)
     names = re.findall(r'"<(\w+)>"', text)
-    template = re.sub(r'"<\w+>"', "%d", text)
-    return template, itemgetter(*map(StepRecord._fields.index, names))
+    return re.sub(r'"<\w+>"', "%d", text), attrgetter(*names)
 
 
 _STEP_FORMATS = {
@@ -801,9 +810,9 @@ _STEP_FORMATS = {
 def transcript_to_jsonl(outcome: RunOutcome) -> str:
     """Spec wire format: a meta record, one record per step, and for
     reduction runs a trailing final-round state record."""
-    template, step_fields = _STEP_FORMATS[outcome.scenario.algorithm]
+    template, step_columns = _STEP_FORMATS[outcome.scenario.algorithm]
     lines = [json.dumps({"meta": outcome.transcript.meta}, sort_keys=True)]
-    lines.extend([template % step_fields(row) for row in outcome.transcript.rows])
+    lines.extend(map(template.__mod__, zip(*step_columns(outcome.transcript))))
     state = outcome.transcript.final_state
     if state is not None:
         lines.append(

@@ -559,18 +559,20 @@ class QueryLedger:
     step counter forward one game step at a time.
     """
 
-    __slots__ = ("step", "_counts")
+    __slots__ = ("step", "_counts", "_candidate", "_consistency", "_detector")
 
     def __init__(self) -> None:
         self.step = 0
-        self._counts: dict[str, list[int]] = {p: [0] for p in PURPOSES}
+        lists = self._candidate, self._consistency, self._detector = [0], [0], [0]
+        self._counts: dict[str, list[int]] = dict(zip(PURPOSES, lists))
 
     def begin_step(self, t: int) -> None:
         if t != self.step + 1:
             raise ConfigError(f"ledger steps advance one at a time, got {t} after {self.step}")
         self.step = t
-        for counts in self._counts.values():
-            counts.append(0)
+        self._candidate.append(0)
+        self._consistency.append(0)
+        self._detector.append(0)
 
     def record(self, purpose: str) -> None:
         self._counts[purpose][self.step] += 1
@@ -599,36 +601,40 @@ class QueryLedger:
 class CollectionOracle:
     """Ledgered membership handle onto one collection.
 
-    Answers are cached per (index, element), and only cache misses count
-    as fresh queries under this handle's purpose. Every answer is a bool,
-    so a lookup that gives None is a miss. A miss reads the language from
-    the collection's language cache and builds it there on first use.
+    Only fresh queries count, under this handle's purpose. ``cached=True``
+    answers repeated (index, element) keys from a cache; answers are bools,
+    so None is a miss. Only alg2's shared detector handle can repeat a key:
+    consistency sets and alg1's sweep ask each key once, so ``run_game``
+    builds theirs uncached. A miss reads the language from the collection's
+    language cache and builds it there on first use.
     """
 
     __slots__ = ("collection", "_languages", "_ledger", "_purpose", "_cache")
 
-    def __init__(self, collection: Collection, ledger: QueryLedger, purpose: str) -> None:
+    def __init__(self, collection: Collection, ledger: QueryLedger, purpose: str,
+                 cached: bool = True) -> None:
         if purpose not in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
             raise ConfigError(f"collection queries use a collection purpose, got {purpose!r}")
         self.collection = collection
         self._languages = collection._language_cache
         self._ledger = ledger
         self._purpose = purpose
-        self._cache: dict[tuple[int, int], bool] = {}
+        self._cache: Optional[dict[tuple[int, int], bool]] = {} if cached else None
 
     def member(self, i: int, x: int) -> bool:
         # True and 1.0 hash like 1, so unchecked they would read L_1's answers.
         if type(i) is not int:
             raise _index_error(i)
-        key = (i, x)
-        value = self._cache.get(key)
+        cache = self._cache
+        value = None if cache is None else cache.get(key := (i, x))
         if value is None:
             lang = self._languages.get(i)
             if lang is None:
                 lang = self.collection.language(i)
             value = lang.member(x)
             self._ledger.record(self._purpose)
-            self._cache[key] = value
+            if cache is not None:
+                cache[key] = value
         return value
 
 

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 from limitlab import (
     CandidateSet,
     Collection,
+    CollectionOracle,
     GameScenario,
     LabeledStream,
     Language,
@@ -187,6 +188,26 @@ def negex_expected_t_star(
             break
     assert first_any is not None, "no witness surfaced within the horizon"
     return first_any, least_step
+
+
+class KeyRecordingOracle(CollectionOracle):
+    """A ``CollectionOracle`` that fails on a repeated (index, element)
+    key under an uncached handle. There every call is a fresh query, so
+    a repeated key would count one membership answer twice; ``keys``
+    holds the keys an uncached handle was asked."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.uncached = self._cache is None
+        self.keys: set[tuple[int, int]] = set()
+
+    def member(self, i: int, x: int) -> bool:
+        if self.uncached:
+            key = (i, x)
+            if key in self.keys:
+                raise AssertionError(f"uncached {self._purpose} handle asked {key} twice")
+            self.keys.add(key)
+        return super().member(i, x)
 
 
 def reference_transcript_to_jsonl(outcome: RunOutcome) -> str:

@@ -108,6 +108,12 @@ def test_fairness_bounds_canonical_and_delay():
         assert first <= period * rank
 
 
+def test_delay_pattern_takes_a_period_beyond_machine_ints():
+    huge = Strategy("delay_pattern", period=10**20)
+    assert EnumerationStream(PREFIXES.language(1), huge).take(3) == [1, 1, 1]
+    assert LabeledStream(MULTIPLES.language(2), huge).take(2) == [(1, 0), (1, 0)]
+
+
 def test_labeled_streams_cover_the_domain():
     for strategy in STRATEGIES:
         stream = LabeledStream(MULTIPLES.language(2), strategy)

@@ -352,6 +352,8 @@ def test_malformed_scenario_files_exit_2(tmp_path, capsys, argv, text):
         ["run", "--collection", "multiples", "--target", "2", "--detector", "negex"],
         ["run", "--collection", "multiples", "--target", "2", "--identifier", "telltale",
          "--g", "lang:3"],
+        ["run", "--collection", "multiples", "--target", "2", "--identifier", "telltale",
+         "--g", ""],
         ["run", "--collection", "multiples", "--target", "2"],
     ],
 )

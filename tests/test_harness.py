@@ -12,6 +12,7 @@ from limitlab import (
     Inapplicable,
     Language,
     Strategy,
+    Transcript,
     analyze_stabilization,
     candidate_subset_of,
     catalog,
@@ -32,6 +33,7 @@ from limitlab import (
     transcript_to_jsonl,
     union_candidate,
 )
+from limitlab import cli, harness
 from limitlab.harness import (
     VERDICT_INCONCLUSIVE,
     VERDICT_SATISFIED,
@@ -43,10 +45,12 @@ from limitlab.harness import (
 from limitlab.languages import PURPOSE_CANDIDATE, PURPOSE_CONSISTENCY, PURPOSE_DETECTOR
 
 from tests.oracles import (
+    KeyRecordingOracle,
     candidate_members_upto,
     language_members_upto,
     reference_transcript_to_jsonl,
 )
+from tests.test_golden import corpus
 
 CATALOG = catalog()
 MULTIPLES = CATALOG["multiples"]
@@ -172,23 +176,56 @@ def test_sweep_is_byte_identical_across_runs():
     assert first.endswith("\n")
 
 
+# ok, unstabilized, inapplicable and error rows; the error detail holds commas
+MIXED_SWEEP = [
+    GameScenario("ok-negex", "multiples", 2, "negex",
+                 candidate=language_candidate(MULTIPLES, 4), horizon=12),
+    GameScenario("ok-alg1", "finite_prefixes", 3, "alg1", identifier="telltale",
+                 candidate=language_candidate(PREFIXES, 4), horizon=12),
+    GameScenario("ok-alg2", "multiples", 3, "alg2", identifier="telltale", horizon=12),
+    GameScenario("unstabilized", "multiples", 2, "consistency_min", horizon=12),
+    GameScenario("inapplicable", "finite_plus_all", 2, "telltale", horizon=12),
+    GameScenario("error-commas", "multiples", 2, "nosuch", horizon=12),
+]
+MIXED_SWEEP_DIGEST = "7cb29139c73088568159d2b7d7c7eeec3236f8245fa3272e87543cc08f01cf81"
+
+
 def test_sweep_csv_is_pinned_for_a_mixed_sweep():
-    # ok, unstabilized, inapplicable and error rows; the error detail holds commas
-    scenarios = [
-        GameScenario("ok-negex", "multiples", 2, "negex",
-                     candidate=language_candidate(MULTIPLES, 4), horizon=12),
-        GameScenario("ok-alg1", "finite_prefixes", 3, "alg1", identifier="telltale",
-                     candidate=language_candidate(PREFIXES, 4), horizon=12),
-        GameScenario("ok-alg2", "multiples", 3, "alg2", identifier="telltale", horizon=12),
-        GameScenario("unstabilized", "multiples", 2, "consistency_min", horizon=12),
-        GameScenario("inapplicable", "finite_plus_all", 2, "telltale", horizon=12),
-        GameScenario("error-commas", "multiples", 2, "nosuch", horizon=12),
-    ]
-    text = sweep_to_csv(run_sweep(scenarios, CATALOG))
+    text = sweep_to_csv(run_sweep(MIXED_SWEEP, CATALOG))
     assert '"algorithm: unknown name \'nosuch\' (known: telltale, ' in text
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "7cb29139c73088568159d2b7d7c7eeec3236f8245fa3272e87543cc08f01cf81"
-    )
+    assert hashlib.sha256(text.encode()).hexdigest() == MIXED_SWEEP_DIGEST
+
+
+def test_user_paths_build_no_rows(tmp_path, monkeypatch):
+    # Sweeps and `limitlab run` render from the transcript columns alone.
+    scenarios = tmp_path / "scenarios.json"
+    # the error row cannot come from a scenario file: it fails validation
+    scenarios.write_text(json.dumps([scenario_to_config(s) for s in MIXED_SWEEP[:-1]]))
+    alg2 = tmp_path / "alg2.json"
+    alg2.write_text(json.dumps(scenario_to_config(
+        GameScenario("alg2", "multiples", 4, "alg2", identifier="telltale", horizon=30)
+    )))
+    commands = [
+        ["run", "--collection", "multiples", "--target", "2", "--detector", "negex",
+         "--g", "lang:3", "--strategy", "repeat_heavy", "--horizon", "60", "--id", "negex"],
+        ["run", "--scenario", str(alg2)],
+        ["sweep", "--scenarios", str(scenarios)],
+    ]
+    for argv in commands:
+        assert cli.main(argv + ["--out", str(tmp_path / "rows")]) == 0
+
+    def no_rows(transcript):
+        raise AssertionError("a user path built Transcript.rows")
+
+    monkeypatch.setattr(Transcript, "rows", property(no_rows))
+    text = sweep_to_csv(run_sweep(MIXED_SWEEP, CATALOG))
+    assert hashlib.sha256(text.encode()).hexdigest() == MIXED_SWEEP_DIGEST
+    for argv in commands:
+        assert cli.main(argv + ["--out", str(tmp_path / "columns")]) == 0
+    written = sorted(path.name for path in (tmp_path / "rows").iterdir())
+    assert len(written) == 5
+    for name in written:
+        assert (tmp_path / "columns" / name).read_bytes() == (tmp_path / "rows" / name).read_bytes()
 
 
 def test_sweep_captures_failures_and_continues():
@@ -544,3 +581,46 @@ def test_rows_match_the_ledger(scenario):
             PURPOSE_CANDIDATE: 2, PURPOSE_CONSISTENCY: 3, PURPOSE_DETECTOR: 1,
         }
         assert ledger.at(3, PURPOSE_CONSISTENCY) == 1
+
+
+KEY_GUARD_HORIZON = 60
+KEY_GUARD_CORPORA = {
+    "golden": lambda: corpus(CATALOG),
+    "negex": lambda: detection_grid("negex", horizon=KEY_GUARD_HORIZON),
+    "alg1-telltale": lambda: detection_grid(
+        "alg1", ["multiples", "finite_prefixes"], identifier="telltale",
+        horizon=KEY_GUARD_HORIZON,
+    ),
+    "alg1-consistency_min": lambda: detection_grid(
+        "alg1", identifier="consistency_min", horizon=KEY_GUARD_HORIZON
+    ),
+    "telltale": lambda: identification_grid("telltale", IDENTIFIABLE, horizon=KEY_GUARD_HORIZON),
+    "consistency_min": lambda: identification_grid(
+        "consistency_min", list(CATALOG), horizon=KEY_GUARD_HORIZON
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_GUARD_CORPORA))
+def test_uncached_handles_never_repeat_a_key(monkeypatch, name):
+    # An uncached handle counts every call as fresh, so a repeated key
+    # would overcount; and every fresh query of its purpose goes through it.
+    built: list[KeyRecordingOracle] = []
+
+    def recording(*args, **kwargs):
+        built.append(KeyRecordingOracle(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "CollectionOracle", recording)
+    guarded = 0
+    for scenario in KEY_GUARD_CORPORA[name]():
+        built.clear()
+        outcome = run_game(scenario, CATALOG)
+        assert {handle._purpose: handle.uncached for handle in built} == {
+            PURPOSE_CONSISTENCY: True, PURPOSE_DETECTOR: scenario.algorithm != "alg2",
+        }
+        for handle in built:
+            if handle.uncached:
+                assert outcome.ledger.total(handle._purpose) == len(handle.keys)
+                guarded += len(handle.keys)
+    assert (guarded > 0) == (name != "negex")  # negex asks the collection nothing
