@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .adversary import STRATEGY_NAMES, Strategy
 from .harness import (
@@ -30,7 +30,7 @@ from .harness import (
     run_sweep,
     scenario_from_config,
     sweep_to_csv,
-    transcript_to_jsonl,
+    transcript_chunks,
 )
 from .identifiers import IDENTIFIER_NAMES, Inapplicable
 from .languages import ConfigError, catalog, resolve_collection
@@ -114,20 +114,22 @@ def _load_json(path: str):
         raise ConfigError(f"{path}: not a readable JSON file ({exc})") from None
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text pieces in turn, so only one piece is held at a time."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as out:
+            out.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"{path}: not writable ({exc})") from None
 
 
 def _emit_run(outcome: RunOutcome, out_dir: Path) -> int:
     sid = outcome.scenario.scenario_id
-    _write(out_dir / f"{sid}.transcript.jsonl", transcript_to_jsonl(outcome))
+    _write(out_dir / f"{sid}.transcript.jsonl", transcript_chunks(outcome))
     _write(
         out_dir / f"{sid}.report.json",
-        json.dumps(report_to_dict(outcome), sort_keys=True, indent=2) + "\n",
+        [json.dumps(report_to_dict(outcome), sort_keys=True, indent=2) + "\n"],
     )
     report = outcome.report
     if outcome.status != "ok":
@@ -175,7 +177,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scenarios = [scenario_from_config(entry, collections) for entry in entries]
     rows = run_sweep(scenarios, collections)
     out_path = Path(args.out) / "summary.csv"
-    _write(out_path, sweep_to_csv(rows))
+    _write(out_path, [sweep_to_csv(rows)])
     failed = sum(1 for row in rows if row["status"] != "ok")
     print(f"sweep: {len(rows)} scenarios, {failed} not ok -> {out_path}")
     return 0
@@ -194,7 +196,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     out_path = Path(args.out) / (
         f"roundtrip-{args.collection}-k{args.target}.json"
     )
-    _write(out_path, json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n")
+    _write(out_path, [json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"])
     legs = result.to_dict()["legs"]
     print(
         f"roundtrip {args.collection} k={args.target}: "
@@ -224,7 +226,7 @@ def cmd_check_angluin(args: argparse.Namespace) -> int:
     if result.verdict == "violation_certified":
         payload["replays"] = replay_certificate(collection, result)
     out_path = Path(args.out) / f"angluin-{args.collection}-i{args.index}.json"
-    _write(out_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(out_path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
     print(
         f"check-angluin {args.collection} index={args.index}: {result.verdict}"
         + (f" witness={result.witness_index}" if result.witness_index else "")

@@ -29,9 +29,10 @@ class ScanDetector:
     target. The sweep is resumed per guessed index, and a found witness
     stays found, so steps with an unchanged guess cost one new scan slot.
 
-    ``scan`` is the sweep alone, for a guess made elsewhere: the
-    reduction feeds its whole pool from one guess tape and catches a new
-    index up with one ``scan`` per distinct past guess.
+    alg1 is one such detector, and alg2's ``fresh_copies`` protocol
+    rebuilds one per index every round. alg2's pool does not use this
+    class: it keeps the same sweep state per guess rather than per
+    index, and sweeps through ``CollectionOracle.sweep``.
     """
 
     def __init__(
@@ -48,22 +49,19 @@ class ScanDetector:
         self._violated: set[int] = set()
 
     def step(self, w: int) -> int:
-        self.t += 1
-        return self.scan(self.identifier.step(w), self.t)
-
-    def scan(self, guess: int, upto: int) -> int:
-        """Verdict for ``guess`` once the domain prefix 1..upto is swept."""
+        t = self.t = self.t + 1
+        guess = self.identifier.step(w)
         if guess in self._violated:
             return 0
         start = self._scanned_upto.get(guess, 0)
-        if start < upto:
+        if start < t:
             candidate_member = self._candidate
             oracle_member = self._oracle.member
-            for x in range(start + 1, upto + 1):
+            for x in range(start + 1, t + 1):
                 if candidate_member(x) and not oracle_member(guess, x):
                     self._violated.add(guess)
                     return 0
-            self._scanned_upto[guess] = upto
+            self._scanned_upto[guess] = t
         return 1
 
 

@@ -17,9 +17,9 @@ import io
 import json
 import re
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import islice, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import RNG_ALGORITHM, EnumerationStream, LabeledStream, Strategy
 from .detectors import NegativeExampleDetector, ScanDetector
@@ -777,7 +777,7 @@ def scenario_from_config(
 
 
 def _step_format(output_key: str, labeled: bool = False) -> tuple[str, Callable]:
-    """Row template and column getter for one shape of step record.
+    """Line template and column getter for one shape of step record.
 
     ``json.dumps`` of a record whose values name ``Transcript`` columns
     fixes key order and spacing; each name then becomes ``%d``, and the
@@ -797,7 +797,7 @@ def _step_format(output_key: str, labeled: bool = False) -> tuple[str, Callable]
         record["y"] = "<y>"
     text = json.dumps(record, sort_keys=True)
     names = re.findall(r'"<(\w+)>"', text)
-    return re.sub(r'"<\w+>"', "%d", text), attrgetter(*names)
+    return re.sub(r'"<\w+>"', "%d", text) + "\n", attrgetter(*names)
 
 
 _STEP_FORMATS = {
@@ -807,29 +807,35 @@ _STEP_FORMATS = {
 }
 
 
+# Step records rendered per chunk: about 150 kB of text.
+TRANSCRIPT_CHUNK_ROWS = 1024
+
+
+def transcript_chunks(outcome: RunOutcome) -> Iterator[str]:
+    """The JSONL transcript in pieces of whole lines: the meta record, at
+    most ``TRANSCRIPT_CHUNK_ROWS`` step records each, and for reduction
+    runs a trailing final-round state record."""
+    template, step_columns = _STEP_FORMATS[outcome.scenario.algorithm]
+    yield json.dumps({"meta": outcome.transcript.meta}, sort_keys=True) + "\n"
+    rows = zip(*step_columns(outcome.transcript))
+    while chunk := "".join(map(template.__mod__, islice(rows, TRANSCRIPT_CHUNK_ROWS))):
+        yield chunk
+    state = outcome.transcript.final_state
+    if state is not None:
+        final_state = {
+            "t": state.t,
+            "consistent": list(state.consistent),
+            "accepted": list(state.accepted),
+            "guess": state.guess,
+            "inapplicable": list(state.inapplicable),
+        }
+        yield json.dumps({"final_state": final_state}, sort_keys=True) + "\n"
+
+
 def transcript_to_jsonl(outcome: RunOutcome) -> str:
     """Spec wire format: a meta record, one record per step, and for
     reduction runs a trailing final-round state record."""
-    template, step_columns = _STEP_FORMATS[outcome.scenario.algorithm]
-    lines = [json.dumps({"meta": outcome.transcript.meta}, sort_keys=True)]
-    lines.extend(map(template.__mod__, zip(*step_columns(outcome.transcript))))
-    state = outcome.transcript.final_state
-    if state is not None:
-        lines.append(
-            json.dumps(
-                {
-                    "final_state": {
-                        "t": state.t,
-                        "consistent": list(state.consistent),
-                        "accepted": list(state.accepted),
-                        "guess": state.guess,
-                        "inapplicable": list(state.inapplicable),
-                    }
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(transcript_chunks(outcome))
 
 
 def report_to_dict(outcome: RunOutcome) -> dict:

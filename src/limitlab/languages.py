@@ -574,8 +574,9 @@ class QueryLedger:
         self._consistency.append(0)
         self._detector.append(0)
 
-    def record(self, purpose: str) -> None:
-        self._counts[purpose][self.step] += 1
+    def record(self, purpose: str, n: int = 1) -> None:
+        """Add n to the current step's counter for purpose: n fresh queries."""
+        self._counts[purpose][self.step] += n
 
     @property
     def calls(self) -> int:
@@ -606,7 +607,8 @@ class CollectionOracle:
     so None is a miss. Only alg2's shared detector handle can repeat a key:
     consistency sets and alg1's sweep ask each key once, so ``run_game``
     builds theirs uncached. A miss reads the language from the collection's
-    language cache and builds it there on first use.
+    language cache and builds it there on first use. ``sweep`` is alg2's
+    detector pool scan: many ``member`` calls, run in one frame.
     """
 
     __slots__ = ("collection", "_languages", "_ledger", "_purpose", "_cache")
@@ -636,6 +638,58 @@ class CollectionOracle:
             if cache is not None:
                 cache[key] = value
         return value
+
+    def sweep(self, indices: Iterable[int], guess: int, xs: range) -> list[int]:
+        """The indices i, in order, for which some x in ``xs`` is in L_i but not in L_guess.
+
+        For each index it asks L_i about ``xs`` in order, asks L_guess
+        only about an x that L_i holds, and stops at the first x outside
+        L_guess: exactly the keys that the matching ``member`` calls
+        would ask, leaving the cache and the ledger as they would. The
+        fresh queries are recorded with one ledger call. The sweep
+        relies on the cache for keys it repeats (every L_guess key), so
+        an uncached handle raises ConfigError.
+        """
+        cache = self._cache
+        if cache is None:
+            raise ConfigError("sweep repeats keys, so it needs a cached oracle handle")
+        if xs and xs[0] < 1:
+            raise ConfigError(f"domain elements are positive integers, got {xs[0]!r}")
+        languages = self._languages
+        language = self.collection.language
+        if type(guess) is not int:
+            raise _index_error(guess)
+        guess_lang = languages.get(guess) or language(guess)
+        in_guess: dict[int, bool] = {}  # x -> L_guess's answer, once its key is asked
+        violators = []
+        fresh = 0
+        try:
+            for i in indices:
+                if type(i) is not int:
+                    raise _index_error(i)
+                lang = languages.get(i) or language(i)
+                # Language.member inlined: this loop makes most of alg2's queries
+                modulus, members = lang.modulus, lang._members  # type: ignore[attr-defined]
+                for x in xs:
+                    value = cache.get(key := (i, x))
+                    if value is None:
+                        value = cache[key] = x % modulus == 0 if modulus else x in members
+                        fresh += 1
+                    if value:
+                        held = in_guess.get(x)
+                        if held is None:
+                            held = cache.get((guess, x))
+                            if held is None:
+                                held = cache[guess, x] = guess_lang.member(x)
+                                fresh += 1
+                            in_guess[x] = held
+                        if not held:
+                            violators.append(i)
+                            break
+        finally:
+            if fresh:
+                self._ledger.record(self._purpose, fresh)
+        return violators
 
 
 class CandidateOracle:

@@ -34,20 +34,26 @@ class RoundState:
 class ReductionIdentifier:
     """Identifier rebuilt from one collection's per-index detectors.
 
-    The detector for index i is a ``ScanDetector`` that tests L_i as the
-    candidate set, with the identifier named ``identifier`` inside; its
-    candidate, sweep and identifier queries all go to
-    ``detector_oracle``. All of them would make the same guesses, so by
-    default one guess tape, built here, feeds the pool: it is stepped
-    once per round, and each pooled index keeps only its scan state. A
-    new index catches up with one scan per distinct past guess g, over x
-    up to the last step that guessed g, which queries the keys a
-    step-by-step replay would. An ``Inapplicable`` from the tape at step
-    s pins every index to 0 from round s on, since every replay reaches
-    step s. By determinism this matches the literal protocol of
-    rebuilding every detector from scratch each round; pass
-    ``fresh_copies=True`` to run that quadratic protocol verbatim, with
-    private identifiers, for differential testing.
+    The detector for index i tests L_i as the candidate set with the
+    identifier named ``identifier`` inside: it flags a hallucination iff
+    some x <= t lies in L_i but not in L_g for the current guess g. All
+    its queries go to ``detector_oracle``. Every such identifier makes
+    the same guesses, so by default one guess tape, built here, feeds
+    the whole pool: it is stepped once per round, and the pool keeps no
+    per-index detectors, only this invariant after every round: for
+    each pooled index i and each guess g the tape has made, either
+    i is in ``_violated[g]``, or L_i was swept under g over x up to
+    ``_last_guessed[g]``, exactly. A round therefore makes one
+    ``CollectionOracle.sweep`` per distinct past guess to catch the new
+    index up, and one over the indices not yet violated under the
+    round's guess, for the x since that guess last ran; these ask the
+    keys a step-by-step replay of every detector would. An
+    ``Inapplicable`` from the tape at step s pins every index to 0 from
+    round s on, since every replay reaches step s. By determinism this
+    matches the literal protocol of rebuilding every detector from
+    scratch each round; pass ``fresh_copies=True`` to run that
+    quadratic protocol verbatim, with a ``ScanDetector`` and a private
+    identifier per index, for differential testing.
 
     A detector that reports itself inapplicable pins its index's verdict
     to 0 and is recorded in the round dumps rather than aborting the run.
@@ -67,41 +73,48 @@ class ReductionIdentifier:
         self._fresh_copies = fresh_copies
         self.t = 0
         self._prefix: list[int] = []           # fresh copies replay it
-        self._pool: dict[int, ScanDetector] = {}
+        self._pool = range(0)                  # live pooled indices, 1..t
         # the pool's one identifier; fresh copies keep a private one each
         self._tape = None if fresh_copies else self._new_identifier()
         self._tape_stopped = False             # its step raised Inapplicable
         self._last_guessed: dict[int, int] = {}  # tape guess -> last step with it
+        self._violated: dict[int, set[int]] = {}  # tape guess -> indices violated under it
         self._inapplicable: set[int] = set()
         self.last_round: Optional[RoundState] = None
 
-    def _detector(self, index: int, identifier) -> ScanDetector:
-        return ScanDetector(identifier, partial(self._oracle.member, index), self._oracle)
-
     def _pool_verdicts(self, w: int) -> list[int]:
         t = self.t
-        new = self._detector(t, self._tape)
+        sweep = self._oracle.sweep
+        last_guessed, violated = self._last_guessed, self._violated
         if not self._tape_stopped:
             try:
                 guess = self._tape.step(w)
             except Inapplicable:
                 self._tape_stopped = True
             else:
-                self._last_guessed[guess] = t
+                since = last_guessed.get(guess, 0)
+                last_guessed[guess] = t
+                violated.setdefault(guess, set())
         # Catch the new index up: one sweep per distinct guess so far.
-        for g, last in self._last_guessed.items():
-            new.scan(g, last)
+        for g, last in last_guessed.items():
+            if sweep((t,), g, range(1, last + 1)):
+                violated[g].add(t)
         if self._tape_stopped:
             self._inapplicable.update(self._pool)
             self._inapplicable.add(t)
-            self._pool.clear()
+            self._pool = range(0)
             return [0] * t
-        self._pool[t] = new
-        return [detector.scan(guess, t) for detector in self._pool.values()]
+        self._pool = range(1, t + 1)
+        bad = violated[guess]
+        clean = [i for i in range(1, t) if i not in bad]
+        bad.update(sweep(clean, guess, range(since + 1, t + 1)))
+        return [0 if i in bad else 1 for i in self._pool]
 
     def _fresh_verdict(self, index: int) -> int:
         try:
-            detector = self._detector(index, self._new_identifier())
+            detector = ScanDetector(
+                self._new_identifier(), partial(self._oracle.member, index), self._oracle
+            )
             verdict = 0
             for x in self._prefix:
                 verdict = detector.step(x)

@@ -3,14 +3,16 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitlab import catalog
-from limitlab.cli import main, parse_candidate_flag
-from limitlab.languages import ConfigError, candidate_from_config
+from limitlab import GameScenario, catalog, run_game, transcript_to_jsonl
+from limitlab.cli import _emit_run, main, parse_candidate_flag
+from limitlab.harness import TRANSCRIPT_CHUNK_ROWS, transcript_chunks
+from limitlab.languages import ConfigError, candidate_from_config, language_candidate
 
 CATALOG = catalog()
 
@@ -243,6 +245,67 @@ def test_console_entry_point():
         [sys.executable, "-m", "limitlab", "catalog"], capture_output=True, text=True
     )
     assert result.returncode == 0 and "multiples" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# transcripts streamed to disk
+
+MULTIPLES_3 = language_candidate(CATALOG["multiples"], 3)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        # more than two chunks of step records
+        GameScenario("negex", "multiples", 2, "negex", candidate=MULTIPLES_3,
+                     horizon=2 * TRANSCRIPT_CHUNK_ROWS + 7),
+        GameScenario("alg1", "multiples", 2, "alg1", candidate=MULTIPLES_3,
+                     identifier="telltale", horizon=300),
+        # exactly one chunk
+        GameScenario("telltale", "finite_prefixes", 3, "telltale", horizon=TRANSCRIPT_CHUNK_ROWS),
+        GameScenario("alg2", "multiples", 4, "alg2", identifier="telltale", horizon=80),
+        GameScenario("alg2-fresh", "finite_sets", 5, "alg2", identifier="consistency_min",
+                     fresh_copies=True, horizon=12),
+        # every index pinned to 0 by an inapplicable detector
+        GameScenario("alg2-inapplicable", "finite_plus_all", 3, "alg2",
+                     identifier="telltale", horizon=5),
+        # no completed step: the meta record alone
+        GameScenario("telltale-inapplicable", "finite_plus_all", 3, "telltale", horizon=5),
+    ],
+    ids=lambda scenario: scenario.scenario_id,
+)
+def test_written_transcript_equals_transcript_to_jsonl(tmp_path, capsys, scenario):
+    outcome = run_game(scenario, CATALOG)
+    _emit_run(outcome, tmp_path)
+    written = (tmp_path / f"{scenario.scenario_id}.transcript.jsonl").read_bytes()
+    assert written == transcript_to_jsonl(outcome).encode()
+
+
+def test_writing_a_transcript_holds_one_chunk_at_a_time(tmp_path, capsys):
+    scenario = GameScenario("long", "multiples", 2, "negex", candidate=MULTIPLES_3,
+                            horizon=10**5)
+    outcome = run_game(scenario, CATALOG)
+    chunk = max(map(len, transcript_chunks(outcome)))
+    tracemalloc.start()
+    try:
+        _emit_run(outcome, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "long.transcript.jsonl").stat().st_size
+    assert size > 50 * chunk
+    # the chunk's rendered lines, the chunk and its encoded bytes
+    assert peak < 6 * chunk, (peak, chunk)
+
+
+def test_unwritable_transcript_exits_2(tmp_path, capsys):
+    (tmp_path / "blocked.transcript.jsonl").mkdir()
+    code, _, err = run_cli(
+        ["run", "--collection", "multiples", "--target", "2", "--identifier", "telltale",
+         "--horizon", "5", "--id", "blocked", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2 and err.startswith("error:") and "not writable" in err, err
 
 
 # ---------------------------------------------------------------------------

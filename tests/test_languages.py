@@ -25,6 +25,7 @@ from limitlab import (
 from limitlab.languages import (
     PURPOSE_CANDIDATE,
     PURPOSE_CONSISTENCY,
+    PURPOSE_DETECTOR,
     PURPOSES,
     CandidateOracle,
     Collection,
@@ -175,6 +176,92 @@ def test_collection_oracle_rejects_non_int_index(index, warm):
     with pytest.raises(ConfigError):
         oracle.member(index, 5)
     assert ledger.total() == warm
+
+
+@pytest.mark.parametrize("index", NON_INT_INDICES, ids=repr)
+def test_collection_oracle_sweep_rejects_non_int_index(index):
+    ledger = QueryLedger()
+    oracle = CollectionOracle(catalog()["multiples"], ledger, PURPOSE_DETECTOR)
+    oracle.member(1, 5)
+    with pytest.raises(ConfigError):
+        oracle.sweep([2, index], 3, range(1, 4))
+    with pytest.raises(ConfigError):
+        oracle.sweep([2], index, range(1, 4))
+
+
+# ---------------------------------------------------------------------------
+# the pool sweep kernel
+
+
+def reference_sweep(oracle, indices, guess, xs):
+    """``CollectionOracle.sweep`` as per-key member calls, in the same order."""
+    violators = []
+    for i in indices:
+        for x in xs:
+            if oracle.member(i, x) and not oracle.member(guess, x):
+                violators.append(i)
+                break
+    return violators
+
+
+_SWEEP_INDICES = st.integers(min_value=1, max_value=40)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(sorted(CATALOG)),
+    st.lists(_SWEEP_INDICES, max_size=8),
+    st.one_of(_SWEEP_INDICES, st.integers(min_value=0, max_value=7)),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=2, max_value=12),
+    st.lists(st.tuples(_SWEEP_INDICES, st.integers(min_value=1, max_value=42)), max_size=40),
+)
+def test_sweep_matches_per_key_member_calls(cid, indices, guess, start, length, warm):
+    # a small guess below 8 picks one of the indices, when there are any
+    if guess < 8 and indices:
+        guess = indices[guess % len(indices)]
+    guess = max(guess, 1)
+    xs = range(start, start + length)
+    oracles = []
+    for _ in range(2):
+        ledger = QueryLedger()
+        oracle = CollectionOracle(CATALOG[cid], ledger, PURPOSE_DETECTOR)
+        for i, x in warm:
+            oracle.member(i, x)
+        ledger.begin_step(1)
+        oracles.append(oracle)
+    kernel, reference = oracles
+    assert kernel.sweep(indices, guess, xs) == reference_sweep(reference, indices, guess, xs)
+    assert kernel._ledger.per_step(PURPOSE_DETECTOR) == reference._ledger.per_step(
+        PURPOSE_DETECTOR
+    )
+    assert kernel._ledger.totals_by_purpose() == reference._ledger.totals_by_purpose()
+    assert kernel._cache == reference._cache  # the same keys, with the same answers
+
+
+def test_sweep_needs_a_cached_handle():
+    # The sweep asks L_guess about one x for many indices; an uncached
+    # handle would bill each repeat, so it is refused outright.
+    ledger = QueryLedger()
+    oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_CONSISTENCY, cached=False)
+    with pytest.raises(ConfigError):
+        oracle.sweep([2, 4], 2, range(1, 5))
+    assert ledger.total() == 0
+
+
+def test_sweep_records_its_fresh_queries_in_one_call(monkeypatch):
+    ledger = QueryLedger()
+    oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_DETECTOR)
+    ledger.begin_step(1)
+    oracle.member(2, 2)
+    calls = []
+    record = QueryLedger.record
+    monkeypatch.setattr(QueryLedger, "record", lambda *args: calls.append(args) or record(*args))
+    # index 2 is the guess, so never violated; L_3 holds 3, which L_2 lacks
+    assert oracle.sweep([2, 3], 2, range(1, 5)) == [3]
+    # asked: (2, 1..4) less the warm (2, 2), then (3, 1..3)
+    assert calls == [(ledger, PURPOSE_DETECTOR, 6)]
+    assert ledger.at(1, PURPOSE_DETECTOR) == 1 + 6
 
 
 # ---------------------------------------------------------------------------

@@ -105,29 +105,64 @@ def test_pool_matches_fresh_detector_spot_check():
     assert reduction.last_round.verdicts[3 - 1] == verdict
 
 
+def record_pool_paths(monkeypatch):
+    """Names of the rarer pool paths that sweeps take from now on.
+
+    A catch-up sweeps just the round's new index, t; the round's pool
+    sweep never includes t.
+    """
+    taken = set()
+    sweep = CollectionOracle.sweep
+
+    def recording(oracle, indices, guess, xs):
+        indices = list(indices)
+        violators = sweep(oracle, indices, guess, xs)
+        if indices == [oracle._ledger.step]:
+            if violators:
+                taken.add("catchup_violation")
+        elif xs.start > 1 and len(xs) >= 3:
+            # the guess was last made at step xs.start - 1, two or more rounds ago
+            taken.add("returning_guess")
+        return violators
+
+    monkeypatch.setattr(CollectionOracle, "sweep", recording)
+    return taken
+
+
 @pytest.mark.parametrize(
-    "cid,k,strategy,identifier",
+    "cid,k,strategy,identifier,paths",
     [
-        ("multiples", 6, Strategy("canonical"), "telltale"),
-        ("multiples", 3, Strategy("repeat_heavy", seed=2), "telltale"),
-        ("finite_prefixes", 4, Strategy("block_shuffle", seed=5, block_growth=2), "telltale"),
-        ("finite_sets", 5, Strategy("canonical"), "telltale"),
+        ("multiples", 6, Strategy("canonical"), "telltale", {"catchup_violation"}),
+        ("multiples", 3, Strategy("repeat_heavy", seed=2), "telltale", {"catchup_violation"}),
+        ("finite_prefixes", 4, Strategy("block_shuffle", seed=5, block_growth=2), "telltale",
+         {"catchup_violation"}),
+        ("finite_sets", 5, Strategy("canonical"), "telltale", {"catchup_violation"}),
         # a recorded Inapplicable, at step 1 and at step 3
-        ("finite_plus_all", 3, Strategy("repeat_heavy", seed=3), "telltale"),
-        ("gapped", 6, Strategy("canonical"), "telltale"),
-        ("multiples", 4, Strategy("repeat_heavy", seed=2), "consistency_min"),
-        ("finite_prefixes", 3, Strategy("canonical"), "consistency_min"),
+        ("finite_plus_all", 3, Strategy("repeat_heavy", seed=3), "telltale", set()),
+        ("gapped", 6, Strategy("canonical"), "telltale", set()),
+        ("multiples", 4, Strategy("repeat_heavy", seed=2), "consistency_min", set()),
+        ("finite_prefixes", 3, Strategy("canonical"), "consistency_min",
+         {"catchup_violation"}),
         ("finite_plus_all", 2, Strategy("block_shuffle", seed=1, block_growth=2),
-         "consistency_min"),
+         "consistency_min", set()),
+        # guesses 1, 2, 2, 2, 1, ...: guess 1 returns after three rounds away
+        ("finite_sets", 6, Strategy("repeat_heavy", seed=2), "telltale",
+         {"returning_guess", "catchup_violation"}),
+        ("finite_sets", 6, Strategy("repeat_heavy", seed=2), "consistency_min",
+         {"returning_guess", "catchup_violation"}),
     ],
 )
-def test_incremental_pool_agrees_with_fresh_copies(cid, k, strategy, identifier):
+def test_incremental_pool_agrees_with_fresh_copies(
+    monkeypatch, cid, k, strategy, identifier, paths
+):
     collection = COLLECTIONS[cid]
     prefix = EnumerationStream(collection.language(k), strategy).take(30)
-    incremental, _, inc_ledger, inc_rounds = drive(collection, prefix, identifier=identifier)
     fresh, _, fresh_ledger, fresh_rounds = drive(
         collection, prefix, identifier=identifier, fresh_copies=True
     )
+    taken = record_pool_paths(monkeypatch)
+    incremental, _, inc_ledger, inc_rounds = drive(collection, prefix, identifier=identifier)
+    assert paths <= taken
     assert incremental == fresh
     assert len(inc_rounds) == len(fresh_rounds) == len(prefix)
     for a, b in zip(inc_rounds, fresh_rounds):
@@ -143,7 +178,7 @@ def test_incremental_pool_agrees_with_fresh_copies(cid, k, strategy, identifier)
 def test_pooled_run_steps_one_identifier_and_replays_no_detector(
     monkeypatch, identifier_class
 ):
-    calls = {"identifier": 0, "detector": 0, "made": 0}
+    calls = {"identifier": 0, "detector": 0, "made": 0, "built": 0}
 
     def counting(owner, key):
         original = owner.step
@@ -162,9 +197,16 @@ def test_pooled_run_steps_one_identifier_and_replays_no_detector(
         return make_identifier(*args)
 
     monkeypatch.setattr("limitlab.reduction.make_identifier", counting_make_identifier)
+    build = ScanDetector.__init__
+
+    def counting_build(self, *args):
+        calls["built"] += 1
+        build(self, *args)
+
+    monkeypatch.setattr(ScanDetector, "__init__", counting_build)
 
     def run(horizon, fresh_copies):
-        calls.update(identifier=0, detector=0, made=0)
+        calls.update(identifier=0, detector=0, made=0, built=0)
         scenario = GameScenario(
             "pin", "multiples", 6, "alg2", identifier=identifier_class.name,
             horizon=horizon, fresh_copies=fresh_copies,
@@ -175,12 +217,12 @@ def test_pooled_run_steps_one_identifier_and_replays_no_detector(
     run(horizon, fresh_copies=False)
     # one guess tape for the pool; catch-up sweeps without replaying steps
     assert calls["identifier"] <= horizon
-    assert calls["detector"] == 0
+    assert calls["detector"] == calls["built"] == 0
     assert calls["made"] == 1
     # the literal protocol keeps a private identifier in every detector
     run(10, fresh_copies=True)
     assert calls["identifier"] == calls["detector"] == sum(t * t for t in range(1, 11))
-    assert calls["made"] == sum(range(1, 11))
+    assert calls["made"] == calls["built"] == sum(range(1, 11))
 
 
 def test_consistent_set_is_antitone():
