@@ -383,14 +383,14 @@ def _strictness_element(
 ) -> Optional[int]:
     """First element of L_index outside L_witness with value <= element_bound."""
     lang = collection.language(index)
-    rank = 1
-    while True:
-        x = lang.element_at(rank)
-        if x > element_bound or (lang.is_finite and rank > len(lang.finite_elements())):
+    in_witness = collection.language(witness).member
+    m = lang.modulus
+    for x in range(m, element_bound + 1, m) if m else lang.elements:
+        if x > element_bound:
             return None
-        if not collection.member(witness, x):
+        if not in_witness(x):
             return x
-        rank += 1
+    return None
 
 
 def _proper_subset(collection: Collection, i: int, j: int) -> bool:
@@ -477,19 +477,20 @@ def replay_certificate(collection: Collection, result: AngluinCheckResult) -> bo
     i = result.index
     if j is None or result.strictness_element is None:
         return False
-    if not all(collection.member(j, x) for x in result.telltale):
+    witness_lang = collection.language(j)
+    in_i, in_j = collection.language(i).member, witness_lang.member
+    if not all(map(in_j, result.telltale)):
         return False
     e = result.strictness_element
-    if not collection.member(i, e) or collection.member(j, e):
+    if not in_i(e) or in_j(e):
         return False
-    witness_lang = collection.language(j)
     if witness_lang.is_finite:
-        return all(collection.member(i, x) for x in witness_lang.finite_elements())
+        return all(map(in_i, witness_lang.finite_elements()))
     # Infinite witness language: lean on exact relations, then spot-check.
     if not collection.subset_of(j, i):
         return False
     probe, _ = witness_lang.first_elements(32)
-    return all(collection.member(i, x) for x in probe)
+    return all(map(in_i, probe))
 
 
 # ---------------------------------------------------------------------------

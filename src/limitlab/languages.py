@@ -16,7 +16,7 @@ oracle handles at the bottom of this module, which count every fresh
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -58,7 +58,7 @@ def _check_element(x: int) -> None:
         raise ConfigError(f"domain elements are positive integers, got {x!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Language:
     """A decidable language over the positive integers, in one of two closed forms.
 
@@ -70,6 +70,7 @@ class Language:
 
     modulus: int = 0
     elements: Union[tuple[int, ...], range] = ()
+    _members: Union[frozenset, tuple, range] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         elems = self.elements
@@ -84,10 +85,13 @@ class Language:
                     f"a prefix language is range(1, b + 1), b < {sys.maxsize}, got {elems!r}"
                 )
         elif elems:
-            if list(elems) != sorted(set(elems)):
-                raise ConfigError("finite language elements must be sorted and distinct")
+            prev = 0
             for x in elems:
-                _check_element(x)
+                if type(x) is not int or x < 1:
+                    _check_element(x)
+                if x <= prev:
+                    raise ConfigError("finite language elements must be sorted and distinct")
+                prev = x
             elems = frozenset(elems)
         # A range answers ``in`` itself; an empty tuple (every multiples
         # language) is shared, where each empty frozenset would cost 216 B.
@@ -99,7 +103,7 @@ class Language:
             raise ConfigError(f"domain elements are positive integers, got {x!r}")
         if self.modulus:
             return x % self.modulus == 0
-        return x in self._members  # type: ignore[attr-defined]
+        return x in self._members
 
     @property
     def is_finite(self) -> bool:
@@ -247,7 +251,8 @@ def encode_finite_set(elements: Iterable[int]) -> int:
     """Inverse of :func:`decode_finite_set` for nonempty element sets."""
     mask = 0
     for x in elements:
-        _check_element(x)
+        if type(x) is not int or x < 1:
+            _check_element(x)
         mask |= 1 << (x - 1)
     if mask == 0:
         raise ConfigError("the empty set has no index in this encoding")
@@ -669,7 +674,7 @@ class CollectionOracle:
                     raise _index_error(i)
                 lang = languages.get(i) or language(i)
                 # Language.member inlined: this loop makes most of alg2's queries
-                modulus, members = lang.modulus, lang._members  # type: ignore[attr-defined]
+                modulus, members = lang.modulus, lang._members
                 for x in xs:
                     value = cache.get(key := (i, x))
                     if value is None:

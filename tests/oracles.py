@@ -48,6 +48,14 @@ def extensional_subset(collection: Collection, i: int, j: int, scale: int = 10) 
     return all(collection.member(j, x) for x in elements if x <= top)
 
 
+def brute_strictness_element(collection: Collection, i: int, j: int, bound: int) -> Optional[int]:
+    """Least x <= bound with x in L_i and x not in L_j, or None."""
+    for x in range(1, bound + 1):
+        if collection.member(i, x) and not collection.member(j, x):
+            return x
+    return None
+
+
 def candidate_members_upto(candidate: CandidateSet, bound: int) -> set:
     return {x for x in range(1, bound + 1) if candidate.member(x)}
 

@@ -46,6 +46,7 @@ from limitlab.languages import PURPOSE_CANDIDATE, PURPOSE_CONSISTENCY, PURPOSE_D
 
 from tests.oracles import (
     KeyRecordingOracle,
+    brute_strictness_element,
     candidate_members_upto,
     language_members_upto,
     reference_transcript_to_jsonl,
@@ -348,6 +349,18 @@ def test_checker_closed_form_matches_bounded_search_on_small_indices():
                 for result in (exact, searched):
                     if result.verdict == VERDICT_VIOLATION:
                         assert replay_certificate(original, result), (original.id, i, telltale)
+
+
+def test_strictness_element_matches_brute_force():
+    # Bounds 1 and 2 lie below most multiples languages' moduli, and most
+    # finite languages here end below bounds 64 and 512.
+    for collection in CATALOG.values():
+        for i in range(1, 33):
+            for j in range(1, 65):
+                for bound in (1, 2, 7, 64, 512):
+                    expected = brute_strictness_element(collection, i, j, bound)
+                    got = harness._strictness_element(collection, i, j, bound)
+                    assert got == expected, (collection.id, i, j, bound)
 
 
 def test_checker_requires_a_telltale():

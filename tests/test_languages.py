@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -115,6 +117,10 @@ def test_closed_forms_match_extensional_listing(form_a, form_b, n):
         a.member(0)
 
 
+# Non-integer elements, among them mixes that a sort or a set would fail
+# on; each must be a ConfigError.
+_MIXED_ELEMENTS = [(1, "a"), ("a", 1), (1, None), (None,), (1, 2.0), (1, [2])]
+
 _BAD_LANGUAGES = st.one_of(
     st.lists(st.integers(min_value=1, max_value=40), min_size=2)
     .filter(lambda xs: xs != sorted(set(xs)))
@@ -134,6 +140,7 @@ _BAD_LANGUAGES = st.one_of(
     ).map(lambda r: dict(elements=range(r[0], r[0] + r[1] * r[2], r[2]))),
     st.integers(min_value=2, max_value=40).map(lambda b: dict(elements=range(1, b + 1, 2))),
     st.just(dict(elements=range(1, 1))),
+    st.sampled_from(_MIXED_ELEMENTS).map(lambda xs: dict(elements=xs)),
 )
 
 
@@ -141,6 +148,32 @@ _BAD_LANGUAGES = st.one_of(
 def test_malformed_languages_are_rejected(fields):
     with pytest.raises(ConfigError):
         Language(**fields)
+
+
+@pytest.mark.parametrize(
+    "elements", [(True,), (2.0,), (0,), (-3,), *_MIXED_ELEMENTS], ids=repr
+)
+def test_non_elements_are_config_errors(elements):
+    match = "domain elements are positive integers"
+    with pytest.raises(ConfigError, match=match):
+        Language(elements=elements)
+    with pytest.raises(ConfigError, match=match):
+        encode_finite_set(list(elements))
+
+
+def test_language_has_slots_and_ignores_its_membership_set():
+    for lang in (Language(modulus=3), Language(elements=(2, 5)), Language(elements=range(1, 4))):
+        assert not hasattr(lang, "__dict__")
+        assert repr(lang) == f"Language(modulus={lang.modulus}, elements={lang.elements!r})"
+        assert hash(lang) == hash((lang.modulus, lang.elements))
+        twin = Language(lang.modulus, lang.elements)
+        object.__setattr__(twin, "_members", frozenset({99}))
+        assert twin == lang and hash(twin) == hash(lang) and repr(twin) == repr(lang)
+        for copied in (pickle.loads(pickle.dumps(lang)), copy.deepcopy(lang)):
+            assert copied == lang and hash(copied) == hash(lang)
+            assert [copied.member(x) for x in range(1, 13)] == [
+                lang.member(x) for x in range(1, 13)
+            ]
 
 
 @pytest.mark.parametrize("collection", list(CATALOG.values()), ids=list(CATALOG))
