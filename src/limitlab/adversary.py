@@ -15,7 +15,7 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
 from .languages import ConfigError, Language, config_field
 
@@ -52,15 +52,6 @@ class Strategy:
         if self.name == "delay_pattern" and self.period < 1:
             raise ConfigError("delay_pattern needs period >= 1")
 
-    def describe(self) -> str:
-        if self.name == "repeat_heavy":
-            return f"repeat_heavy(p={self.repeat_num}/{self.repeat_den},seed={self.seed})"
-        if self.name == "block_shuffle":
-            return f"block_shuffle(growth={self.block_growth},seed={self.seed})"
-        if self.name == "delay_pattern":
-            return f"delay_pattern(period={self.period})"
-        return "canonical"
-
     def to_config(self) -> dict:
         params: dict = {}
         if self.name == "repeat_heavy":
@@ -92,17 +83,16 @@ class Strategy:
         return cls(name=name, seed=config_field(config, "seed", int, 0), **kwargs)
 
 
-def _presentation(language: Optional[Language], strategy: Strategy) -> Iterator[int]:
-    """The strategy's emissions over a canonical source listing.
+def _presentation(language: Language, strategy: Strategy) -> Iterator[int]:
+    """The strategy's emissions over the language's canonical listing.
 
-    The source is the target language's ascending listing (cycling once a
-    finite language is spent) or the ascending domain when ``language`` is
-    None. Completeness holds for every strategy: canonical and
+    The source is the language's ascending listing, cycling once a finite
+    language is spent. Completeness holds for every strategy: canonical and
     delay_pattern by construction, block_shuffle because every block is a
     permutation of a canonical segment, repeat_heavy because its fresh
     branch walks the canonical listing and fires infinitely often.
     """
-    source = count(1) if language is None else map(language.element_at, count(1))
+    source = language.listing()
     if strategy.name == "canonical":
         return source
     if strategy.name == "delay_pattern":
@@ -160,7 +150,7 @@ class LabeledStream:
 
     def __init__(self, target: Language, strategy: Strategy = Strategy()) -> None:
         self.target = target
-        self._next = _presentation(None, strategy).__next__
+        self._next = _presentation(Language(modulus=1), strategy).__next__
 
     def next(self) -> tuple[int, int]:
         w = self._next()

@@ -425,12 +425,17 @@ def check_angluin(
             )
         elements = tuple(sorted(tt))
     else:
-        elements = tuple(sorted(set(telltale)))
-        if elements and elements[-1] > MAX_TELLTALE_ELEMENT:
-            raise ConfigError(
-                f"telltale: element {elements[-1]} exceeds the cap {MAX_TELLTALE_ELEMENT}"
-            )
+        try:  # unhashable, unorderable or mixed elements raise TypeError here
+            elements = tuple(sorted(set(telltale)))
+            if elements and elements[-1] > MAX_TELLTALE_ELEMENT:
+                raise ConfigError(
+                    f"telltale: element {elements[-1]} exceeds the cap {MAX_TELLTALE_ELEMENT}"
+                )
+        except TypeError:
+            raise ConfigError("telltale: elements must be positive integers") from None
         for x in elements:
+            if type(x) is not int:
+                raise ConfigError(f"telltale: elements must be positive integers, got {x!r}")
             if not lang.member(x):
                 raise ConfigError(
                     f"telltale: element {x} is outside the index-{index} language"
@@ -499,9 +504,6 @@ def replay_certificate(collection: Collection, result: AngluinCheckResult) -> bo
 
 @dataclass
 class RoundtripResult:
-    collection_id: str
-    target_index: int
-    horizon: int
     identifier_run: RunOutcome
     detector_run: RunOutcome
     reduced_run: RunOutcome
@@ -511,10 +513,11 @@ class RoundtripResult:
         def leg(outcome: RunOutcome) -> dict:
             return {"status": outcome.status, **_report_fields(outcome.report)}
 
+        scenario = self.identifier_run.scenario
         return {
-            "collection": self.collection_id,
-            "target_index": self.target_index,
-            "horizon": self.horizon,
+            "collection": scenario.collection_id,
+            "target_index": scenario.target_index,
+            "horizon": scenario.horizon,
             "legs": {
                 "identifier": leg(self.identifier_run),
                 "detector_on_target": leg(self.detector_run),
@@ -583,15 +586,7 @@ def run_roundtrip(
         and ident.report.stabilized
         and reduced.report.stabilized
     )
-    return RoundtripResult(
-        collection_id=collection_id,
-        target_index=target_index,
-        horizon=horizon,
-        identifier_run=ident,
-        detector_run=detector,
-        reduced_run=reduced,
-        agreement=agreement,
-    )
+    return RoundtripResult(ident, detector, reduced, agreement)
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,6 @@ class _IndexIdentifier:
         # missing telltale element -> (index, telltale) pairs waiting on it
         self._waiting: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
 
-    @property
-    def seen(self) -> frozenset:
-        return frozenset(self._indices.seen)
-
     def _admit(self, index: int, telltale: tuple[int, ...]) -> None:
         for element in telltale:
             if element not in self._indices.seen:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, count, repeat
 from math import gcd
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
 class ConfigError(ValueError):
@@ -126,13 +127,13 @@ class Language:
             return [self.modulus * j for j in range(1, n + 1)], False
         return list(self.elements[:n]), len(self.elements) <= n
 
-    def element_at(self, rank: int) -> int:
-        """Element of canonical rank (1-based), cycling for finite languages."""
-        if rank < 1:
-            raise ConfigError("rank must be >= 1")
+    def listing(self) -> Iterator[int]:
+        """The elements in ascending order, cycling once a finite language is spent."""
         if self.modulus:
-            return self.modulus * rank
-        return self.elements[(rank - 1) % len(self.elements)]
+            return count(self.modulus, self.modulus)
+        if not self.elements:
+            raise ConfigError("the empty language has no listing")
+        return chain.from_iterable(repeat(self.elements))
 
     def describe(self) -> str:
         if self.modulus == 1:
@@ -377,16 +378,17 @@ def resolve_collection(collection_id: str, collections: Mapping[str, Collection]
 class CandidateSet:
     """The set under test, kept in the closed form (core \\ minus) | plus.
 
-    ``core`` is a Language or None (no core contributes nothing), and
-    ``plus``/``minus`` are disjoint finite element sets. ``ast`` preserves
-    the construction tree for serialization; membership never consults it.
+    ``core`` is a Language, the empty one when no language contributes,
+    and ``plus``/``minus`` are disjoint finite element sets. ``config`` is
+    the construction tree in its {kind, params} wire form; membership
+    never consults it.
     """
 
-    core: Optional[Language]
+    core: Language
     plus: frozenset
     minus: frozenset
     descriptor: str
-    ast: tuple
+    config: dict = field(hash=False)  # unhashable, so compared but left out of the hash
 
     def member(self, x: int) -> bool:
         if x < 1:
@@ -395,7 +397,7 @@ class CandidateSet:
             return True
         if x in self.minus:
             return False
-        return self.core.member(x) if self.core is not None else False
+        return self.core.member(x)
 
     def describe(self) -> str:
         return self.descriptor
@@ -419,7 +421,7 @@ def language_candidate(collection: Collection, index: int) -> CandidateSet:
         plus=frozenset(),
         minus=frozenset(),
         descriptor=f"lang({collection.id},{index})",
-        ast=("language_of", collection.id, index),
+        config={"kind": "language_of", "params": {"collection": collection.id, "index": index}},
     )
 
 
@@ -430,7 +432,8 @@ def union_candidate(base: CandidateSet, elements: Iterable[int]) -> CandidateSet
         plus=base.plus | set(added),
         minus=base.minus - set(added),
         descriptor=base.descriptor + "+" + _brace(added),
-        ast=("finite_union_with", base.ast, added),
+        config={"kind": "finite_union_with",
+                "params": {"base": base.config, "elements": list(added)}},
     )
 
 
@@ -441,18 +444,19 @@ def minus_candidate(base: CandidateSet, elements: Iterable[int]) -> CandidateSet
         plus=base.plus - set(removed),
         minus=base.minus | set(removed),
         descriptor=base.descriptor + "-" + _brace(removed),
-        ast=("finite_minus", base.ast, removed),
+        config={"kind": "finite_minus",
+                "params": {"base": base.config, "elements": list(removed)}},
     )
 
 
 def finite_candidate(elements: Iterable[int]) -> CandidateSet:
     elems = _element_tuple(elements)
     return CandidateSet(
-        core=None,
+        core=Language(),
         plus=frozenset(elems),
         minus=frozenset(),
         descriptor="set" + _brace(elems),
-        ast=("explicit_finite", elems),
+        config={"kind": "explicit_finite", "params": {"elements": list(elems)}},
     )
 
 
@@ -462,17 +466,17 @@ def domain_candidate() -> CandidateSet:
         plus=frozenset(),
         minus=frozenset(),
         descriptor="all",
-        ast=("all_of_domain",),
+        config={"kind": "all_of_domain", "params": {}},
     )
 
 
 def empty_candidate() -> CandidateSet:
     return CandidateSet(
-        core=None,
+        core=Language(),
         plus=frozenset(),
         minus=frozenset(),
         descriptor="empty",
-        ast=("empty",),
+        config={"kind": "empty", "params": {}},
     )
 
 
@@ -482,8 +486,6 @@ def candidate_subset_of(candidate: CandidateSet, target: Language) -> bool:
         if not target.member(x):
             return False
     core = candidate.core
-    if core is None:
-        return True
     if core.is_finite:
         return all(
             target.member(x) for x in core.finite_elements() if x not in candidate.minus
@@ -494,21 +496,14 @@ def candidate_subset_of(candidate: CandidateSet, target: Language) -> bool:
 
 
 def candidate_to_config(candidate: CandidateSet) -> dict:
-    return _ast_to_config(candidate.ast)
+    """The candidate's {kind, params} wire form, a copy the caller may change."""
+    return _copy_tree(candidate.config)
 
 
-def _ast_to_config(ast: tuple) -> dict:
-    kind = ast[0]
-    if kind == "language_of":
-        return {"kind": kind, "params": {"collection": ast[1], "index": ast[2]}}
-    if kind in ("finite_union_with", "finite_minus"):
-        return {
-            "kind": kind,
-            "params": {"base": _ast_to_config(ast[1]), "elements": list(ast[2])},
-        }
-    if kind == "explicit_finite":
-        return {"kind": kind, "params": {"elements": list(ast[1])}}
-    return {"kind": kind, "params": {}}
+def _copy_tree(node: dict) -> dict:
+    # A config tree holds dicts, lists of ints and scalars; deepcopy is 3x slower.
+    return {key: _copy_tree(value) if type(value) is dict else
+            list(value) if type(value) is list else value for key, value in node.items()}
 
 
 def candidate_from_config(
@@ -560,8 +555,8 @@ class QueryLedger:
     list holds ``step + 1`` entries: ``begin_step`` appends a zero to
     every list. The purposes are ``PURPOSES``. Every fresh query through
     a handle increments exactly one counter; counters never decrease,
-    and ``calls`` is derived from them. ``begin_step`` must walk the
-    step counter forward one game step at a time.
+    and ``total`` sums them. ``begin_step`` must walk the step counter
+    forward one game step at a time.
     """
 
     __slots__ = ("step", "_counts", "_candidate", "_consistency", "_detector")
@@ -582,10 +577,6 @@ class QueryLedger:
     def record(self, purpose: str, n: int = 1) -> None:
         """Add n to the current step's counter for purpose: n fresh queries."""
         self._counts[purpose][self.step] += n
-
-    @property
-    def calls(self) -> int:
-        return self.total()
 
     def at(self, t: int, purpose: str) -> int:
         counts = self._counts[purpose]

@@ -148,9 +148,7 @@ def least_escape(candidate: CandidateSet, target: Language) -> Optional[int]:
         return None
     escapes = [x for x in candidate.plus if not target.member(x)]
     core = candidate.core
-    if core is not None and not (
-        core.is_finite or language_subset(core, target)
-    ):
+    if not (core.is_finite or language_subset(core, target)):
         x = core.modulus
         step = x
         while True:
@@ -159,7 +157,7 @@ def least_escape(candidate: CandidateSet, target: Language) -> Optional[int]:
                 break
             x += step
             assert x < 10**7, "escape search ran away"
-    if core is not None and core.is_finite:
+    if core.is_finite:
         escapes.extend(
             x
             for x in core.finite_elements()

@@ -161,7 +161,7 @@ def test_criterion_3_roundtrip_identification():
                     [row.output for row in outcome.transcript.rows],
                     outcome.transcript.final_state.verdicts,
                 )
-            assert runs[False] == runs[True], (cid, k, strategy.describe())
+            assert runs[False] == runs[True], (cid, k, strategy.to_config())
 
 
 def test_criterion_4_consistency_query_bound():

@@ -370,6 +370,24 @@ def test_checker_requires_a_telltale():
         check_angluin(MULTIPLES, 2, telltale=[3])  # not a subset of L_2
 
 
+@pytest.mark.parametrize(
+    "collection, index, telltale",
+    [
+        (MULTIPLES, 2, [2.0]),
+        (MULTIPLES, 2, [4.0, 8]),
+        (MULTIPLES, 1, [True]),
+        (MULTIPLES, 2, ["a"]),
+        (MULTIPLES, 2, [[2]]),
+        (MULTIPLES, 2, [2, None]),
+        (CATALOG["finite_sets"], 3, [1, "a"]),
+        (FINITE_PLUS_ALL, 1, [1, 2.5]),
+    ],
+)
+def test_checker_rejects_non_integer_telltale_elements(collection, index, telltale):
+    with pytest.raises(ConfigError):
+        check_angluin(collection, index, telltale=telltale)
+
+
 def test_certificates_replay_through_membership_only():
     for telltale in ([], [2], [1, 4], [3, 5, 9]):
         result = check_angluin(FINITE_PLUS_ALL, 1, telltale=telltale, bounds=(64, 64))

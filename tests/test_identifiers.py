@@ -139,8 +139,9 @@ def test_seen_set_is_monotone():
     for t, w in enumerate(prefix, start=1):
         ledger.begin_step(t)
         identifier.step(w)
-        assert previous <= identifier.seen
-        previous = identifier.seen
+        seen = frozenset(identifier._indices.seen)
+        assert previous <= seen
+        previous = seen
 
 
 # A small family repeated with period len(languages), with arbitrary
