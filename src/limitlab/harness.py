@@ -179,10 +179,7 @@ def validate_scenario(
 
 
 def _transcript_meta(scenario: GameScenario) -> dict:
-    meta = scenario_to_config(scenario)
-    del meta["candidate"]
-    meta["rng_algorithm"] = RNG_ALGORITHM
-    return meta
+    return _scenario_fields(scenario, rng_algorithm=RNG_ALGORITHM)
 
 
 def run_game(
@@ -717,18 +714,24 @@ def _algorithm_config(scenario: GameScenario) -> dict:
     return {"name": scenario.algorithm, "params": params}
 
 
-def scenario_to_config(scenario: GameScenario) -> dict:
+def _scenario_fields(scenario: GameScenario, **field: object) -> dict:
+    """The scenario's wire fields but its candidate, with ``field`` put in its place."""
     return {
         "scenario_id": scenario.scenario_id,
         "collection": scenario.collection_id,
         "target_index": scenario.target_index,
-        "candidate": (
-            None if scenario.candidate is None else candidate_to_config(scenario.candidate)
-        ),
+        **field,
         "adversary": scenario.strategy.to_config(),
         "algorithm": _algorithm_config(scenario),
         "horizon": scenario.horizon,
     }
+
+
+def scenario_to_config(scenario: GameScenario) -> dict:
+    candidate = scenario.candidate
+    return _scenario_fields(
+        scenario, candidate=None if candidate is None else candidate_to_config(candidate)
+    )
 
 
 def scenario_from_config(

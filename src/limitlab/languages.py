@@ -599,12 +599,13 @@ class CollectionOracle:
     """Ledgered membership handle onto one collection.
 
     Only fresh queries count, under this handle's purpose. ``cached=True``
-    answers repeated (index, element) keys from a cache; answers are bools,
-    so None is a miss. Only alg2's shared detector handle can repeat a key:
-    consistency sets and alg1's sweep ask each key once, so ``run_game``
-    builds theirs uncached. A miss reads the language from the collection's
-    language cache and builds it there on first use. ``sweep`` is alg2's
-    detector pool scan: many ``member`` calls, run in one frame.
+    answers repeated keys from per-index rows, index -> {element: answer},
+    each made with its first answer; answers are bools, so None is a miss.
+    Only alg2's shared detector handle can repeat a key: consistency sets
+    and alg1's sweep ask each key once, so ``run_game`` builds theirs
+    uncached. A miss reads the language from the collection's language
+    cache and builds it there on first use. ``sweep`` is alg2's detector
+    pool scan: many ``member`` calls in one frame, one bound L_guess row.
     """
 
     __slots__ = ("collection", "_languages", "_ledger", "_purpose", "_cache")
@@ -617,14 +618,15 @@ class CollectionOracle:
         self._languages = collection._language_cache
         self._ledger = ledger
         self._purpose = purpose
-        self._cache: Optional[dict[tuple[int, int], bool]] = {} if cached else None
+        self._cache: Optional[dict[int, dict[int, bool]]] = {} if cached else None
 
     def member(self, i: int, x: int) -> bool:
         # True and 1.0 hash like 1, so unchecked they would read L_1's answers.
         if type(i) is not int:
             raise _index_error(i)
         cache = self._cache
-        value = None if cache is None else cache.get(key := (i, x))
+        row = None if cache is None else cache.get(i)
+        value = None if row is None else row.get(x)
         if value is None:
             lang = self._languages.get(i)
             if lang is None:
@@ -632,7 +634,9 @@ class CollectionOracle:
             value = lang.member(x)
             self._ledger.record(self._purpose)
             if cache is not None:
-                cache[key] = value
+                if row is None:
+                    row = cache[i] = {}
+                row[x] = value
         return value
 
     def sweep(self, indices: Iterable[int], guess: int, xs: range) -> list[int]:
@@ -642,9 +646,9 @@ class CollectionOracle:
         only about an x that L_i holds, and stops at the first x outside
         L_guess: exactly the keys that the matching ``member`` calls
         would ask, leaving the cache and the ledger as they would. The
-        fresh queries are recorded with one ledger call. The sweep
-        relies on the cache for keys it repeats (every L_guess key), so
-        an uncached handle raises ConfigError.
+        fresh queries are recorded with one ledger call. L_guess's answers
+        live in L_guess's row, where every index reads them, so the sweep
+        needs a cached handle: an uncached one raises ConfigError.
         """
         cache = self._cache
         if cache is None:
@@ -656,7 +660,8 @@ class CollectionOracle:
         if type(guess) is not int:
             raise _index_error(guess)
         guess_lang = languages.get(guess) or language(guess)
-        in_guess: dict[int, bool] = {}  # x -> L_guess's answer, once its key is asked
+        # bound first, so an index equal to guess shares it; dropped below if left empty
+        guess_row = cache.setdefault(guess, {})
         violators = []
         fresh = 0
         try:
@@ -664,25 +669,28 @@ class CollectionOracle:
                 if type(i) is not int:
                     raise _index_error(i)
                 lang = languages.get(i) or language(i)
+                # each index asks xs[0], so a row made for nonempty xs gets an answer
+                row = cache.get(i)
+                if row is None and xs:
+                    row = cache[i] = {}
                 # Language.member inlined: this loop makes most of alg2's queries
                 modulus, members = lang.modulus, lang._members
                 for x in xs:
-                    value = cache.get(key := (i, x))
+                    value = row.get(x)
                     if value is None:
-                        value = cache[key] = x % modulus == 0 if modulus else x in members
+                        value = row[x] = x % modulus == 0 if modulus else x in members
                         fresh += 1
                     if value:
-                        held = in_guess.get(x)
+                        held = guess_row.get(x)
                         if held is None:
-                            held = cache.get((guess, x))
-                            if held is None:
-                                held = cache[guess, x] = guess_lang.member(x)
-                                fresh += 1
-                            in_guess[x] = held
+                            held = guess_row[x] = guess_lang.member(x)
+                            fresh += 1
                         if not held:
                             violators.append(i)
                             break
         finally:
+            if not guess_row:
+                del cache[guess]
             if fresh:
                 self._ledger.record(self._purpose, fresh)
         return violators

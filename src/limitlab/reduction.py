@@ -57,6 +57,8 @@ class ReductionIdentifier:
 
     A detector that reports itself inapplicable pins its index's verdict
     to 0 and is recorded in the round dumps rather than aborting the run.
+    A step keeps only its verdict list; ``last_round`` builds the dump on
+    read from it, the consistent indices and the inapplicable ones.
     """
 
     def __init__(
@@ -80,7 +82,7 @@ class ReductionIdentifier:
         self._last_guessed: dict[int, int] = {}  # tape guess -> last step with it
         self._violated: dict[int, set[int]] = {}  # tape guess -> indices violated under it
         self._inapplicable: set[int] = set()
-        self.last_round: Optional[RoundState] = None
+        self._verdicts: list[int] = []         # the last round's, for index 1..t
 
     def _pool_verdicts(self, w: int) -> list[int]:
         t = self.t
@@ -127,7 +129,6 @@ class ReductionIdentifier:
         t = self.t = self.t + 1
         self._consistent.see(w)
         self._consistent.admit(t)
-        consistent = self._consistent.alive
         if self._fresh_copies:
             self._prefix.append(w)
             verdicts = [
@@ -136,14 +137,18 @@ class ReductionIdentifier:
             ]
         else:
             verdicts = self._pool_verdicts(w)
+        self._verdicts = verdicts
+        return next((i for i in self._consistent.alive if verdicts[i - 1] == 1), 1)
+
+    @property
+    def last_round(self) -> Optional[RoundState]:
+        """The last completed round's state, None before the first step."""
+        if not self.t:
+            return None
+        verdicts = self._verdicts
+        consistent = tuple(self._consistent.alive)
         accepted = tuple(i for i in consistent if verdicts[i - 1] == 1)
-        guess = accepted[0] if accepted else 1
-        self.last_round = RoundState(
-            t=t,
-            consistent=tuple(consistent),
-            verdicts=tuple(verdicts),
-            accepted=accepted,
-            guess=guess,
-            inapplicable=tuple(sorted(self._inapplicable)),
+        return RoundState(
+            t=self.t, consistent=consistent, verdicts=tuple(verdicts), accepted=accepted,
+            guess=accepted[0] if accepted else 1, inapplicable=tuple(sorted(self._inapplicable)),
         )
-        return guess

@@ -245,6 +245,7 @@ def test_collection_oracle_sweep_rejects_non_int_index(index):
         oracle.sweep([2, index], 3, range(1, 4))
     with pytest.raises(ConfigError):
         oracle.sweep([2], index, range(1, 4))
+    assert {} not in oracle._cache.values()
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +306,32 @@ def test_sweep_needs_a_cached_handle():
     with pytest.raises(ConfigError):
         oracle.sweep([2, 4], 2, range(1, 5))
     assert ledger.total() == 0
+
+
+def test_member_and_sweep_share_rows():
+    ledger = QueryLedger()
+    oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_DETECTOR)
+    # asks (2, 1), (2, 2) and, for the x = 2 that L_2 holds, (3, 2)
+    assert oracle.sweep([2], 3, range(1, 7)) == [2]
+    assert ledger.total() == 3
+    assert [oracle.member(2, 1), oracle.member(2, 2), oracle.member(3, 2)] == [False, True, False]
+    assert ledger.total() == 3
+    assert [oracle.member(4, 4), oracle.member(6, 4)] == [True, False]
+    assert ledger.total() == 5
+    # asks (4, 4), then (6, 4) for the guess: both first asked by member
+    assert oracle.sweep([4], 6, range(4, 5)) == [4]
+    assert ledger.total() == 5
+
+
+def test_sweep_asking_nothing_leaves_no_empty_row():
+    ledger = QueryLedger()
+    oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_DETECTOR)
+    assert oracle.sweep([], 3, range(1, 5)) == []
+    assert oracle.sweep([2, 3], 4, range(5, 5)) == []
+    assert oracle._cache == {} and ledger.total() == 0
+    oracle.member(3, 1)
+    assert oracle.sweep([], 3, range(1, 5)) == []
+    assert oracle._cache == {3: {1: False}}
 
 
 def test_sweep_records_its_fresh_queries_in_one_call(monkeypatch):

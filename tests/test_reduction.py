@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from limitlab import (
@@ -87,6 +89,44 @@ def test_empty_acceptance_set_falls_back_to_one():
     assert guesses == [1]
     assert reduction.last_round.accepted == ()
     assert reduction.last_round.consistent == ()
+
+
+@pytest.mark.parametrize("fresh_copies", [False, True], ids=["pooled", "fresh_copies"])
+@pytest.mark.parametrize("cid", sorted(CATALOG))
+def test_last_round_is_built_from_the_completed_step(cid, fresh_copies):
+    collection = CATALOG[cid]
+    prefix = EnumerationStream(collection.language(3), Strategy("repeat_heavy", seed=2)).take(14)
+    ledger = QueryLedger()
+    reduction = build_reduction(collection, ledger, fresh_copies=fresh_copies)
+    assert reduction.last_round is None
+    rounds = []
+    for t, w in enumerate(prefix, start=1):
+        ledger.begin_step(t)
+        guess = reduction.step(w)
+        state = reduction.last_round
+        assert state == reduction.last_round
+        assert state.t == t and state.guess == guess and len(state.verdicts) == t
+        assert state.accepted == tuple(i for i in state.consistent if state.verdicts[i - 1] == 1)
+        rounds.append(state)
+    # a state read earlier is not changed by the steps after it
+    assert [state.t for state in rounds] == list(range(1, len(prefix) + 1))
+    assert all(len(state.verdicts) == state.t for state in rounds)
+
+
+def test_cached_detector_answer_memory_is_pinned():
+    # The detector handle's cache holds one entry per fresh detector query;
+    # per-index rows keep that near 50 B an answer, (index, element) tuple
+    # keys near 144 B (tracemalloc, Python 3.11).
+    scenario = GameScenario("mem", "multiples", 6, "alg2", identifier="telltale", horizon=400)
+    tracemalloc.start()
+    try:
+        outcome = run_game(scenario, catalog())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.status == "ok"
+    per_answer = peak / outcome.ledger.totals_by_purpose()[PURPOSE_DETECTOR]
+    assert per_answer < 90, per_answer
 
 
 def test_pool_matches_fresh_detector_spot_check():
