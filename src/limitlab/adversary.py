@@ -141,9 +141,6 @@ class EnumerationStream:
     def next(self) -> int:
         return self._next()
 
-    def take(self, n: int) -> list[int]:
-        return [self.next() for _ in range(n)]
-
 
 class LabeledStream:
     """Complete presentation of the whole domain, labeled against the target."""
@@ -155,6 +152,3 @@ class LabeledStream:
     def next(self) -> tuple[int, int]:
         w = self._next()
         return w, 1 if self.target.member(w) else 0
-
-    def take(self, n: int) -> list[tuple[int, int]]:
-        return [self.next() for _ in range(n)]

@@ -160,7 +160,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "adversary": _adversary_from_args(args),
             "algorithm": {
                 "name": args.detector or args.identifier,
-                "params": {"identifier": args.identifier},
+                "params": {"identifier": args.identifier} if args.detector else {},
             },
             "horizon": args.horizon,
         }
@@ -196,8 +196,9 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     out_path = Path(args.out) / (
         f"roundtrip-{args.collection}-k{args.target}.json"
     )
-    _write(out_path, [json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"])
-    legs = result.to_dict()["legs"]
+    payload = result.to_dict()
+    _write(out_path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+    legs = payload["legs"]
     print(
         f"roundtrip {args.collection} k={args.target}: "
         f"identifier t*={legs['identifier']['t_star']}, "

@@ -10,7 +10,7 @@ candidate claims.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import Callable, Protocol
 
 from .languages import CandidateOracle, CollectionOracle
 
@@ -75,12 +75,10 @@ class NegativeExampleDetector:
 
     def __init__(self, candidate: CandidateOracle) -> None:
         self._candidate = candidate
-        self.t = 0
-        self.hallucination_witness: Optional[tuple[int, int]] = None
+        self._latched = False
 
     def step(self, pair: tuple[int, int]) -> int:
-        self.t += 1
         w, label = pair
-        if self.hallucination_witness is None and label == 0 and self._candidate.member(w):
-            self.hallucination_witness = (w, self.t)
-        return 0 if self.hallucination_witness is not None else 1
+        if not self._latched and label == 0 and self._candidate.member(w):
+            self._latched = True
+        return 0 if self._latched else 1

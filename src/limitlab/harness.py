@@ -35,6 +35,7 @@ from .languages import (
     PURPOSE_DETECTOR,
     PURPOSES,
     QueryLedger,
+    _element_tuple,
     candidate_from_config,
     candidate_subset_of,
     candidate_to_config,
@@ -178,10 +179,6 @@ def validate_scenario(
     return collection
 
 
-def _transcript_meta(scenario: GameScenario) -> dict:
-    return _scenario_fields(scenario, rng_algorithm=RNG_ALGORITHM)
-
-
 def run_game(
     scenario: GameScenario, collections: Optional[Mapping[str, Collection]] = None
 ) -> RunOutcome:
@@ -239,8 +236,8 @@ def run_game(
         ws, ys = items, None
     counts = [ledger.per_step(p)[:len(outputs)] for p in PURPOSES]
     final_state = algorithm.last_round if alg == "alg2" else None
-    transcript = Transcript(_transcript_meta(scenario), range(1, len(outputs) + 1),
-                            ws, ys, outputs, *counts, final_state)
+    transcript = Transcript(_scenario_fields(scenario, rng_algorithm=RNG_ALGORITHM),
+                            range(1, len(outputs) + 1), ws, ys, outputs, *counts, final_state)
 
     report = None
     if status == "ok":
@@ -422,17 +419,12 @@ def check_angluin(
             )
         elements = tuple(sorted(tt))
     else:
-        try:  # unhashable, unorderable or mixed elements raise TypeError here
-            elements = tuple(sorted(set(telltale)))
-            if elements and elements[-1] > MAX_TELLTALE_ELEMENT:
-                raise ConfigError(
-                    f"telltale: element {elements[-1]} exceeds the cap {MAX_TELLTALE_ELEMENT}"
-                )
-        except TypeError:
-            raise ConfigError("telltale: elements must be positive integers") from None
+        elements = _element_tuple(telltale)
+        if elements and elements[-1] > MAX_TELLTALE_ELEMENT:
+            raise ConfigError(
+                f"telltale: element {elements[-1]} exceeds the cap {MAX_TELLTALE_ELEMENT}"
+            )
         for x in elements:
-            if type(x) is not int:
-                raise ConfigError(f"telltale: elements must be positive integers, got {x!r}")
             if not lang.member(x):
                 raise ConfigError(
                     f"telltale: element {x} is outside the index-{index} language"
@@ -748,12 +740,12 @@ def scenario_from_config(
         algorithm = {"name": algorithm}
     elif not isinstance(algorithm, Mapping):
         raise ConfigError(f"algorithm: expected a name or an object, got {algorithm!r}")
+    name = algorithm.get("name", "")
     params = config_field(algorithm, "params", Mapping, {})
-    if params.get("detector") not in (None, "alg1"):
-        raise ConfigError(
-            "algorithm: the reduction consumes positive examples only; "
-            f"detector {params['detector']!r} cannot drive it"
-        )
+    taken = (("alg1", "identifier"), ("alg2", "identifier"), ("alg2", "fresh_copies"))
+    for key, value in params.items():
+        if value is not None and (name, key) not in taken:
+            raise ConfigError(f"algorithm: {name!r} takes no param {key!r}")
     candidate_config = config.get("candidate")
     candidate = (
         None
@@ -764,7 +756,7 @@ def scenario_from_config(
         scenario_id=config_field(config, "scenario_id", str, ""),
         collection_id=collection_id,
         target_index=config["target_index"],
-        algorithm=algorithm.get("name", ""),
+        algorithm=name,
         candidate=candidate,
         identifier=params.get("identifier"),
         fresh_copies=config_field(params, "fresh_copies", bool, False),

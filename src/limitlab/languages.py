@@ -406,7 +406,8 @@ class CandidateSet:
 def _element_tuple(elements: Iterable[int]) -> tuple[int, ...]:
     out = list(elements)
     for x in out:  # before sorting, which fails on mixed or unhashable types
-        _check_element(x)
+        if type(x) is not int or x < 1:  # plain positive ints skip the call
+            _check_element(x)
     return tuple(sorted(set(out)))
 
 
@@ -554,8 +555,9 @@ class QueryLedger:
     during step t, and index 0 those made before the first step. Each
     list holds ``step + 1`` entries: ``begin_step`` appends a zero to
     every list. The purposes are ``PURPOSES``. Every fresh query through
-    a handle increments exactly one counter; counters never decrease,
-    and ``total`` sums them. ``begin_step`` must walk the step counter
+    a handle increments exactly one counter; counters never decrease.
+    ``per_step`` reads steps 1..step; ``totals_by_purpose`` sums each
+    list, index 0 included. ``begin_step`` must walk the step counter
     forward one game step at a time.
     """
 
@@ -578,18 +580,9 @@ class QueryLedger:
         """Add n to the current step's counter for purpose: n fresh queries."""
         self._counts[purpose][self.step] += n
 
-    def at(self, t: int, purpose: str) -> int:
-        counts = self._counts[purpose]
-        return counts[t] if 0 <= t < len(counts) else 0
-
     def per_step(self, purpose: str) -> list[int]:
         """The counts of steps 1..step, in order."""
         return self._counts[purpose][1:]
-
-    def total(self, purpose: Optional[str] = None) -> int:
-        if purpose is None:
-            return sum(map(sum, self._counts.values()))
-        return sum(self._counts[purpose])
 
     def totals_by_purpose(self) -> dict[str, int]:
         return {p: sum(counts) for p, counts in self._counts.items()}

@@ -76,9 +76,8 @@ class ReductionIdentifier:
         self.t = 0
         self._prefix: list[int] = []           # fresh copies replay it
         self._pool = range(0)                  # live pooled indices, 1..t
-        # the pool's one identifier; fresh copies keep a private one each
+        # the pool's one identifier; None under fresh copies or once it raised Inapplicable
         self._tape = None if fresh_copies else self._new_identifier()
-        self._tape_stopped = False             # its step raised Inapplicable
         self._last_guessed: dict[int, int] = {}  # tape guess -> last step with it
         self._violated: dict[int, set[int]] = {}  # tape guess -> indices violated under it
         self._inapplicable: set[int] = set()
@@ -88,11 +87,11 @@ class ReductionIdentifier:
         t = self.t
         sweep = self._oracle.sweep
         last_guessed, violated = self._last_guessed, self._violated
-        if not self._tape_stopped:
+        if self._tape is not None:
             try:
                 guess = self._tape.step(w)
             except Inapplicable:
-                self._tape_stopped = True
+                self._tape = None
             else:
                 since = last_guessed.get(guess, 0)
                 last_guessed[guess] = t
@@ -101,7 +100,7 @@ class ReductionIdentifier:
         for g, last in last_guessed.items():
             if sweep((t,), g, range(1, last + 1)):
                 violated[g].add(t)
-        if self._tape_stopped:
+        if self._tape is None:
             self._inapplicable.update(self._pool)
             self._inapplicable.add(t)
             self._pool = range(0)

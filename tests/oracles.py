@@ -64,6 +64,11 @@ def language_members_upto(language: Language, bound: int) -> set:
     return {x for x in range(1, bound + 1) if language.member(x)}
 
 
+def take(stream, n: int) -> list:
+    """The stream's next n emissions, in order."""
+    return [stream.next() for _ in range(n)]
+
+
 def rule_telltale_guesses(collection: Collection, prefix: Sequence[int]) -> list[int]:
     """Literal rule: least i <= t with telltale(i) within the seen set and
     every seen element inside L_i, else 1. Recomputed from scratch each step."""

@@ -13,6 +13,8 @@ from limitlab import (
     catalog,
 )
 
+from tests.oracles import take
+
 CATALOG = catalog()
 MULTIPLES = CATALOG["multiples"]
 PREFIXES = CATALOG["finite_prefixes"]
@@ -22,15 +24,15 @@ BLOCK_SHUFFLE_GOLDEN = [2, 4, 10, 6, 12, 8, 18, 20, 16, 24, 22, 14]
 
 
 def test_canonical_examples():
-    assert EnumerationStream(MULTIPLES.language(2)).take(4) == [2, 4, 6, 8]
-    assert EnumerationStream(PREFIXES.language(2)).take(4) == [1, 2, 1, 2]
+    assert take(EnumerationStream(MULTIPLES.language(2)), 4) == [2, 4, 6, 8]
+    assert take(EnumerationStream(PREFIXES.language(2)), 4) == [1, 2, 1, 2]
 
 
 def test_labeled_examples():
-    assert LabeledStream(MULTIPLES.language(2)).take(4) == [(1, 0), (2, 1), (3, 0), (4, 1)]
+    assert take(LabeledStream(MULTIPLES.language(2)), 4) == [(1, 0), (2, 1), (3, 0), (4, 1)]
     everything = Language(modulus=1)
-    assert all(y == 1 for _, y in LabeledStream(everything).take(20))
-    labeled = LabeledStream(PREFIXES.language(3)).take(4)
+    assert all(y == 1 for _, y in take(LabeledStream(everything), 20))
+    labeled = take(LabeledStream(PREFIXES.language(3)), 4)
     assert labeled[3] == (4, 0)
 
 
@@ -38,7 +40,7 @@ def test_block_shuffle_golden_vector():
     stream = EnumerationStream(
         MULTIPLES.language(2), Strategy("block_shuffle", seed=7, block_growth=2)
     )
-    assert stream.take(12) == BLOCK_SHUFFLE_GOLDEN
+    assert take(stream, 12) == BLOCK_SHUFFLE_GOLDEN
     # Block structure: permutations of canonical segments of sizes 2, 4, 6.
     assert sorted(BLOCK_SHUFFLE_GOLDEN[:2]) == [2, 4]
     assert sorted(BLOCK_SHUFFLE_GOLDEN[2:6]) == [6, 8, 10, 12]
@@ -52,14 +54,14 @@ def test_empty_target_is_rejected():
 
 def test_labeled_stream_accepts_empty_target():
     stream = LabeledStream(Language())
-    assert all(y == 0 for _, y in stream.take(10))
+    assert all(y == 0 for _, y in take(stream, 10))
 
 
 def test_prefix_stream_step_takes_constant_space():
     # Each step on a {1..k} target reads one element; it must not list all k.
     tracemalloc.start()
     try:
-        EnumerationStream(catalog()["finite_prefixes"].language(10**6)).take(3)
+        take(EnumerationStream(catalog()["finite_prefixes"].language(10**6)), 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -83,7 +85,7 @@ STRATEGIES = [
 )
 def test_emissions_stay_inside_target_and_cover_it(strategy, target):
     horizon = 600
-    emitted = EnumerationStream(target, strategy).take(horizon)
+    emitted = take(EnumerationStream(target, strategy), horizon)
     assert all(target.member(w) for w in emitted)
     # Completeness up to a bound, verified by exhaustive scan to the horizon.
     expected, _ = target.first_elements(25)
@@ -91,16 +93,16 @@ def test_emissions_stay_inside_target_and_cover_it(strategy, target):
 
 
 def test_finite_target_cycles_forever():
-    emitted = EnumerationStream(PREFIXES.language(3)).take(9)
+    emitted = take(EnumerationStream(PREFIXES.language(3)), 9)
     assert emitted == [1, 2, 3, 1, 2, 3, 1, 2, 3]
 
 
 def test_fairness_bounds_canonical_and_delay():
     target = MULTIPLES.language(5)
-    canonical = EnumerationStream(target, Strategy("canonical")).take(40)
+    canonical = take(EnumerationStream(target, Strategy("canonical")), 40)
     assert canonical == [5 * rank for rank in range(1, 41)]
     period = 4
-    delayed = EnumerationStream(target, Strategy("delay_pattern", period=period)).take(80)
+    delayed = take(EnumerationStream(target, Strategy("delay_pattern", period=period)), 80)
     for rank in range(1, 21):
         first = delayed.index(5 * rank) + 1
         assert first <= period * rank
@@ -108,14 +110,14 @@ def test_fairness_bounds_canonical_and_delay():
 
 def test_delay_pattern_takes_a_period_beyond_machine_ints():
     huge = Strategy("delay_pattern", period=10**20)
-    assert EnumerationStream(PREFIXES.language(1), huge).take(3) == [1, 1, 1]
-    assert LabeledStream(MULTIPLES.language(2), huge).take(2) == [(1, 0), (1, 0)]
+    assert take(EnumerationStream(PREFIXES.language(1), huge), 3) == [1, 1, 1]
+    assert take(LabeledStream(MULTIPLES.language(2), huge), 2) == [(1, 0), (1, 0)]
 
 
 def test_labeled_streams_cover_the_domain():
     for strategy in STRATEGIES:
         stream = LabeledStream(MULTIPLES.language(2), strategy)
-        pairs = stream.take(800)
+        pairs = take(stream, 800)
         assert all(y == (1 if w % 2 == 0 else 0) for w, y in pairs)
         assert set(range(1, 26)) <= {w for w, _ in pairs}
 
@@ -129,8 +131,8 @@ def test_labeled_streams_cover_the_domain():
 def test_seed_determinism(seed, name, index):
     strategy = Strategy(name, seed=seed, block_growth=2)
     target = MULTIPLES.language(index)
-    first = EnumerationStream(target, strategy).take(60)
-    second = EnumerationStream(target, strategy).take(60)
+    first = take(EnumerationStream(target, strategy), 60)
+    second = take(EnumerationStream(target, strategy), 60)
     assert first == second
 
 

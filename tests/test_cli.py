@@ -426,6 +426,42 @@ def test_malformed_flags_exit_2(tmp_path, capsys, argv):
     assert code == 2 and err.startswith("error:"), err
 
 
+# alg1 takes identifier, alg2 identifier and a boolean fresh_copies, the
+# others nothing. BASE_SCENARIO is alg1, so its fresh_copies rows in
+# BAD_FIELDS stop at that rule; the alg2 rows here reach the type check.
+ALG2_SCENARIO = dict(BASE_SCENARIO, candidate=None,
+                     algorithm={"name": "alg2", "params": {"identifier": "telltale"}})
+
+
+@pytest.mark.parametrize(
+    "argv, scenario, param",
+    [
+        (["run", "--collection", "multiples", "--target", "2", "--detector", "negex",
+          "--identifier", "telltale", "--g", "lang:3", "--horizon", "5"], None, "identifier"),
+        (["run", "--scenario", "{file}"],
+         with_field(("algorithm", "params", "fresh_copies"), True), "fresh_copies"),
+        (["run", "--scenario", "{file}"],
+         dict(BASE_SCENARIO, candidate=None,
+              algorithm={"name": "telltale", "params": {"identifier": "consistency_min"}}),
+         "identifier"),
+        (["run", "--scenario", "{file}"],
+         with_field(("algorithm", "params", "fresh_copies"), "false", ALG2_SCENARIO),
+         "fresh_copies"),
+        (["run", "--scenario", "{file}"],
+         with_field(("algorithm", "params", "fresh_copies"), 0, ALG2_SCENARIO), "fresh_copies"),
+    ],
+    ids=["negex-identifier-flag", "alg1-fresh_copies", "telltale-identifier",
+         "alg2-fresh_copies-string", "alg2-fresh_copies-int"],
+)
+def test_params_the_algorithm_does_not_take_exit_2(tmp_path, capsys, argv, scenario, param):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    argv = [arg.replace("{file}", str(path)) for arg in argv]
+    code, _, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 2 and err.startswith("error:") and param in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_that_is_a_file_exits_2(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("")

@@ -594,9 +594,9 @@ def test_rows_match_the_ledger(scenario):
     assert len(rows) == completed
     assert [row.t for row in rows] == list(range(1, completed + 1))
     for row in rows:
-        assert row.fresh_candidate == ledger.at(row.t, PURPOSE_CANDIDATE)
-        assert row.fresh_consistency == ledger.at(row.t, PURPOSE_CONSISTENCY)
-        assert row.fresh_detector == ledger.at(row.t, PURPOSE_DETECTOR)
+        assert row.fresh_candidate == ledger.per_step(PURPOSE_CANDIDATE)[row.t - 1]
+        assert row.fresh_consistency == ledger.per_step(PURPOSE_CONSISTENCY)[row.t - 1]
+        assert row.fresh_detector == ledger.per_step(PURPOSE_DETECTOR)[row.t - 1]
     assert ledger.step == completed + interrupted
     # Queries before step 1 and in the interrupted step are in no row.
     for purpose, field in (
@@ -605,13 +605,15 @@ def test_rows_match_the_ledger(scenario):
         (PURPOSE_DETECTOR, "fresh_detector"),
     ):
         in_rows = sum(getattr(row, field) for row in rows)
-        outside = ledger.at(0, purpose) + ledger.at(completed + 1, purpose)
-        assert ledger.total(purpose) == in_rows + outside
+        steps = ledger.per_step(purpose)
+        total = ledger.totals_by_purpose()[purpose]
+        outside = total - sum(steps) + sum(steps[completed:completed + 1])
+        assert total == in_rows + outside
     if interrupted:
         assert ledger.totals_by_purpose() == {
             PURPOSE_CANDIDATE: 2, PURPOSE_CONSISTENCY: 3, PURPOSE_DETECTOR: 1,
         }
-        assert ledger.at(3, PURPOSE_CONSISTENCY) == 1
+        assert ledger.per_step(PURPOSE_CONSISTENCY)[2] == 1
 
 
 KEY_GUARD_HORIZON = 60
@@ -652,6 +654,6 @@ def test_uncached_handles_never_repeat_a_key(monkeypatch, name):
         }
         for handle in built:
             if handle.uncached:
-                assert outcome.ledger.total(handle._purpose) == len(handle.keys)
+                assert outcome.ledger.totals_by_purpose()[handle._purpose] == len(handle.keys)
                 guarded += len(handle.keys)
     assert (guarded > 0) == (name != "negex")  # negex asks the collection nothing

@@ -19,7 +19,7 @@ from limitlab import (
 from limitlab.harness import identification_grid
 from limitlab.languages import PURPOSE_CONSISTENCY, PURPOSE_DETECTOR
 
-from tests.oracles import rule_consistency_guesses, rule_telltale_guesses
+from tests.oracles import rule_consistency_guesses, rule_telltale_guesses, take
 
 CATALOG = catalog()
 MULTIPLES = CATALOG["multiples"]
@@ -62,7 +62,7 @@ def test_telltale_prefixes_canonical():
 
 def test_consistency_min_always_one_on_multiples():
     stream = EnumerationStream(MULTIPLES.language(2))
-    prefix = stream.take(40)
+    prefix = take(stream, 40)
     guesses, _, _ = drive(ConsistencyMinIdentifier, MULTIPLES, prefix)
     assert guesses == [1] * 40
     assert rule_consistency_guesses(MULTIPLES, prefix[:10]) == [1] * 10
@@ -96,7 +96,7 @@ CROSS_CASES = [
 @pytest.mark.parametrize("cid,k,strategy", CROSS_CASES)
 def test_telltale_matches_rule_oracle(cid, k, strategy):
     collection = CATALOG[cid]
-    prefix = EnumerationStream(collection.language(k), strategy).take(40)
+    prefix = take(EnumerationStream(collection.language(k), strategy), 40)
     expected = rule_telltale_guesses(collection, prefix)
     guesses, _, _ = drive(TelltaleIdentifier, collection, prefix)
     assert guesses == expected
@@ -105,7 +105,7 @@ def test_telltale_matches_rule_oracle(cid, k, strategy):
 @pytest.mark.parametrize("cid,k,strategy", CROSS_CASES)
 def test_consistency_min_matches_rule_oracle(cid, k, strategy):
     collection = CATALOG[cid]
-    prefix = EnumerationStream(collection.language(k), strategy).take(40)
+    prefix = take(EnumerationStream(collection.language(k), strategy), 40)
     expected = rule_consistency_guesses(collection, prefix)
     guesses, _, _ = drive(ConsistencyMinIdentifier, collection, prefix)
     assert guesses == expected
@@ -125,14 +125,14 @@ def test_missing_telltale_reports_inapplicable():
 
 
 def test_guess_sequence_is_a_function_of_the_prefix():
-    prefix = EnumerationStream(MULTIPLES.language(3), Strategy("repeat_heavy", seed=4)).take(50)
+    prefix = take(EnumerationStream(MULTIPLES.language(3), Strategy("repeat_heavy", seed=4)), 50)
     first, _, _ = drive(TelltaleIdentifier, MULTIPLES, prefix)
     second, _, _ = drive(TelltaleIdentifier, MULTIPLES, prefix)
     assert first == second
 
 
 def test_seen_set_is_monotone():
-    prefix = EnumerationStream(PREFIXES.language(6), Strategy("repeat_heavy", seed=9)).take(30)
+    prefix = take(EnumerationStream(PREFIXES.language(6), Strategy("repeat_heavy", seed=9)), 30)
     ledger = QueryLedger()
     identifier = TelltaleIdentifier(PREFIXES, CollectionOracle(PREFIXES, ledger, PURPOSE_CONSISTENCY))
     previous = frozenset()

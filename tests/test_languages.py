@@ -233,7 +233,7 @@ def test_collection_oracle_rejects_non_int_index(index, warm):
         oracle.member(1, 5)
     with pytest.raises(ConfigError):
         oracle.member(index, 5)
-    assert ledger.total() == warm
+    assert sum(ledger.totals_by_purpose().values()) == warm
 
 
 @pytest.mark.parametrize("index", NON_INT_INDICES, ids=repr)
@@ -305,7 +305,7 @@ def test_sweep_needs_a_cached_handle():
     oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_CONSISTENCY, cached=False)
     with pytest.raises(ConfigError):
         oracle.sweep([2, 4], 2, range(1, 5))
-    assert ledger.total() == 0
+    assert sum(ledger.totals_by_purpose().values()) == 0
 
 
 def test_member_and_sweep_share_rows():
@@ -313,14 +313,14 @@ def test_member_and_sweep_share_rows():
     oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_DETECTOR)
     # asks (2, 1), (2, 2) and, for the x = 2 that L_2 holds, (3, 2)
     assert oracle.sweep([2], 3, range(1, 7)) == [2]
-    assert ledger.total() == 3
+    assert sum(ledger.totals_by_purpose().values()) == 3
     assert [oracle.member(2, 1), oracle.member(2, 2), oracle.member(3, 2)] == [False, True, False]
-    assert ledger.total() == 3
+    assert sum(ledger.totals_by_purpose().values()) == 3
     assert [oracle.member(4, 4), oracle.member(6, 4)] == [True, False]
-    assert ledger.total() == 5
+    assert sum(ledger.totals_by_purpose().values()) == 5
     # asks (4, 4), then (6, 4) for the guess: both first asked by member
     assert oracle.sweep([4], 6, range(4, 5)) == [4]
-    assert ledger.total() == 5
+    assert sum(ledger.totals_by_purpose().values()) == 5
 
 
 def test_sweep_asking_nothing_leaves_no_empty_row():
@@ -328,7 +328,7 @@ def test_sweep_asking_nothing_leaves_no_empty_row():
     oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_DETECTOR)
     assert oracle.sweep([], 3, range(1, 5)) == []
     assert oracle.sweep([2, 3], 4, range(5, 5)) == []
-    assert oracle._cache == {} and ledger.total() == 0
+    assert oracle._cache == {} and sum(ledger.totals_by_purpose().values()) == 0
     oracle.member(3, 1)
     assert oracle.sweep([], 3, range(1, 5)) == []
     assert oracle._cache == {3: {1: False}}
@@ -346,7 +346,7 @@ def test_sweep_records_its_fresh_queries_in_one_call(monkeypatch):
     assert oracle.sweep([2, 3], 2, range(1, 5)) == [3]
     # asked: (2, 1..4) less the warm (2, 2), then (3, 1..3)
     assert calls == [(ledger, PURPOSE_DETECTOR, 6)]
-    assert ledger.at(1, PURPOSE_DETECTOR) == 1 + 6
+    assert ledger.per_step(PURPOSE_DETECTOR)[0] == 1 + 6
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +557,12 @@ def test_ledger_counts_fresh_queries_only():
     oracle.member(2, 6)
     oracle.member(2, 6)  # cache hit, not fresh
     oracle.member(3, 6)
-    assert ledger.at(1, PURPOSE_CONSISTENCY) == 2
+    assert ledger.per_step(PURPOSE_CONSISTENCY)[0] == 2
     ledger.begin_step(2)
     oracle.member(2, 8)
-    assert ledger.at(2, PURPOSE_CONSISTENCY) == 1
-    assert ledger.total(PURPOSE_CONSISTENCY) == 3
-    assert ledger.total() == 3
+    assert ledger.per_step(PURPOSE_CONSISTENCY)[1] == 1
+    assert ledger.totals_by_purpose()[PURPOSE_CONSISTENCY] == 3
+    assert sum(ledger.totals_by_purpose().values()) == 3
 
 
 def test_uncached_candidate_oracle_bills_every_call():
@@ -571,7 +571,7 @@ def test_uncached_candidate_oracle_bills_every_call():
     oracle = CandidateOracle(language_candidate(MULTIPLES, 3), ledger, cached=False)
     for _ in range(4):
         oracle.member(3)
-    assert ledger.at(1, PURPOSE_CANDIDATE) == 4
+    assert ledger.per_step(PURPOSE_CANDIDATE)[0] == 4
 
 
 def test_cached_false_answer_is_a_hit():
@@ -580,16 +580,16 @@ def test_cached_false_answer_is_a_hit():
     oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_CONSISTENCY)
     assert oracle.member(2, 5) is False
     assert oracle.member(2, 5) is False
-    assert ledger.at(1, PURPOSE_CONSISTENCY) == 1
+    assert ledger.per_step(PURPOSE_CONSISTENCY)[0] == 1
     candidate = language_candidate(MULTIPLES, 3)
     cached = CandidateOracle(candidate, ledger, cached=True)
     assert cached.member(4) is False
     assert cached.member(4) is False
-    assert ledger.at(1, PURPOSE_CANDIDATE) == 1
+    assert ledger.per_step(PURPOSE_CANDIDATE)[0] == 1
     uncached = CandidateOracle(candidate, ledger, cached=False)
     assert uncached.member(4) is False
     assert uncached.member(4) is False
-    assert ledger.at(1, PURPOSE_CANDIDATE) == 3
+    assert ledger.per_step(PURPOSE_CANDIDATE)[0] == 3
 
 
 @given(
@@ -606,7 +606,6 @@ def test_ledger_completeness(plan):
         for _ in range(count):
             ledger.record(purpose)
             made += 1
-    assert ledger.total() == made
     assert sum(ledger.totals_by_purpose().values()) == made
 
 
@@ -630,10 +629,11 @@ def test_ledger_matches_a_counter_model(plan):
             ledger.record(purpose)
             model[(t, purpose)] += 1
     assert ledger.step == max(len(plan) - 1, 0)
-    for t in range(ledger.step + 2):
-        for purpose in PURPOSES:
-            assert ledger.at(t, purpose) == model[(t, purpose)], (t, purpose)
-    assert ledger.total() == sum(model.values())
+    for purpose in PURPOSES:
+        steps = ledger.per_step(purpose)
+        before_first = ledger.totals_by_purpose()[purpose] - sum(steps)
+        expected = [model[(t, purpose)] for t in range(ledger.step + 1)]
+        assert [before_first, *steps] == expected, purpose
+    assert sum(ledger.totals_by_purpose().values()) == sum(model.values())
     by_purpose = {p: sum(n for (_, q), n in model.items() if q == p) for p in PURPOSES}
-    assert {p: ledger.total(p) for p in PURPOSES} == by_purpose
     assert ledger.totals_by_purpose() == by_purpose

@@ -22,7 +22,7 @@ from limitlab.identifiers import (
 )
 from limitlab.languages import PURPOSE_CONSISTENCY, PURPOSE_DETECTOR
 
-from tests.oracles import sim_reduction_guesses
+from tests.oracles import sim_reduction_guesses, take
 
 CATALOG = catalog()
 MULTIPLES = CATALOG["multiples"]
@@ -61,7 +61,7 @@ def drive(collection, prefix, **kwargs):
 
 
 def test_prefixes_roundtrip_example():
-    prefix = EnumerationStream(PREFIXES.language(2)).take(12)
+    prefix = take(EnumerationStream(PREFIXES.language(2)), 12)
     guesses, reduction, _, _ = drive(PREFIXES, prefix)
     assert guesses[0] == 1 and set(guesses[1:]) == {2}
     final = reduction.last_round
@@ -70,12 +70,12 @@ def test_prefixes_roundtrip_example():
 
 def test_matches_literal_simulation_oracle():
     cases = [
-        (PREFIXES, EnumerationStream(PREFIXES.language(3)).take(10)),
-        (MULTIPLES, EnumerationStream(MULTIPLES.language(4)).take(10)),
-        (MULTIPLES, EnumerationStream(
+        (PREFIXES, take(EnumerationStream(PREFIXES.language(3)), 10)),
+        (MULTIPLES, take(EnumerationStream(MULTIPLES.language(4)), 10)),
+        (MULTIPLES, take(EnumerationStream(
             MULTIPLES.language(2), Strategy("block_shuffle", seed=4, block_growth=2)
-        ).take(10)),
-        (CATALOG["finite_sets"], EnumerationStream(CATALOG["finite_sets"].language(6)).take(10)),
+        ), 10)),
+        (CATALOG["finite_sets"], take(EnumerationStream(CATALOG["finite_sets"].language(6)), 10)),
     ]
     for collection, prefix in cases:
         guesses, _, _, _ = drive(collection, prefix)
@@ -95,7 +95,7 @@ def test_empty_acceptance_set_falls_back_to_one():
 @pytest.mark.parametrize("cid", sorted(CATALOG))
 def test_last_round_is_built_from_the_completed_step(cid, fresh_copies):
     collection = CATALOG[cid]
-    prefix = EnumerationStream(collection.language(3), Strategy("repeat_heavy", seed=2)).take(14)
+    prefix = take(EnumerationStream(collection.language(3), Strategy("repeat_heavy", seed=2)), 14)
     ledger = QueryLedger()
     reduction = build_reduction(collection, ledger, fresh_copies=fresh_copies)
     assert reduction.last_round is None
@@ -130,7 +130,7 @@ def test_cached_detector_answer_memory_is_pinned():
 
 
 def test_pool_matches_fresh_detector_spot_check():
-    prefix = EnumerationStream(PREFIXES.language(3)).take(5)
+    prefix = take(EnumerationStream(PREFIXES.language(3)), 5)
     _, reduction, ledger, _ = drive(PREFIXES, prefix)
     assert 3 in reduction._pool
     detector_oracle = CollectionOracle(PREFIXES, ledger, PURPOSE_DETECTOR)
@@ -196,7 +196,7 @@ def test_incremental_pool_agrees_with_fresh_copies(
     monkeypatch, cid, k, strategy, identifier, paths
 ):
     collection = COLLECTIONS[cid]
-    prefix = EnumerationStream(collection.language(k), strategy).take(30)
+    prefix = take(EnumerationStream(collection.language(k), strategy), 30)
     fresh, _, fresh_ledger, fresh_rounds = drive(
         collection, prefix, identifier=identifier, fresh_copies=True
     )
@@ -207,9 +207,8 @@ def test_incremental_pool_agrees_with_fresh_copies(
     assert len(inc_rounds) == len(fresh_rounds) == len(prefix)
     for a, b in zip(inc_rounds, fresh_rounds):
         assert a == b  # bit-for-bit round dumps, verdict vectors included
-    for t in range(1, len(prefix) + 1):
-        for purpose in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
-            assert inc_ledger.at(t, purpose) == fresh_ledger.at(t, purpose), (t, purpose)
+    for purpose in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
+        assert inc_ledger.per_step(purpose) == fresh_ledger.per_step(purpose), purpose
 
 
 @pytest.mark.parametrize(
@@ -266,9 +265,9 @@ def test_pooled_run_steps_one_identifier_and_replays_no_detector(
 
 
 def test_consistent_set_is_antitone():
-    prefix = EnumerationStream(
+    prefix = take(EnumerationStream(
         MULTIPLES.language(4), Strategy("repeat_heavy", seed=6)
-    ).take(40)
+    ), 40)
     _, _, _, rounds = drive(MULTIPLES, prefix)
     dropped = set()
     for state in rounds:
@@ -278,7 +277,7 @@ def test_consistent_set_is_antitone():
 
 
 def test_partition_logic_at_the_final_round():
-    prefix = EnumerationStream(MULTIPLES.language(6)).take(40)
+    prefix = take(EnumerationStream(MULTIPLES.language(6)), 40)
     _, reduction, _, _ = drive(MULTIPLES, prefix)
     final = reduction.last_round
     z = final.guess
@@ -291,18 +290,18 @@ def test_partition_logic_at_the_final_round():
 
 def test_consistency_query_bound_2t_minus_1():
     for strategy in (Strategy("canonical"), Strategy("repeat_heavy", seed=1)):
-        prefix = EnumerationStream(MULTIPLES.language(2), strategy).take(60)
+        prefix = take(EnumerationStream(MULTIPLES.language(2), strategy), 60)
         ledger = QueryLedger()
         reduction = build_reduction(MULTIPLES, ledger)
         for t, w in enumerate(prefix, start=1):
             ledger.begin_step(t)
             reduction.step(w)
-            assert ledger.at(t, PURPOSE_CONSISTENCY) <= 2 * t - 1
+            assert ledger.per_step(PURPOSE_CONSISTENCY)[t - 1] <= 2 * t - 1
 
 
 def test_inapplicable_inner_detectors_are_pinned_to_zero():
     fpa = CATALOG["finite_plus_all"]
-    prefix = EnumerationStream(fpa.language(3)).take(8)
+    prefix = take(EnumerationStream(fpa.language(3)), 8)
     guesses, reduction, _, _ = drive(fpa, prefix)
     # every pooled detector hits the missing index-1 tell-tale immediately
     assert guesses == [1] * 8
