@@ -53,15 +53,13 @@ class ScanDetector:
         guess = self.identifier.step(w)
         if guess in self._violated:
             return 0
-        start = self._scanned_upto.get(guess, 0)
-        if start < t:
-            candidate_member = self._candidate
-            oracle_member = self._oracle.member
-            for x in range(start + 1, t + 1):
-                if candidate_member(x) and not oracle_member(guess, x):
-                    self._violated.add(guess)
-                    return 0
-            self._scanned_upto[guess] = t
+        candidate_member = self._candidate
+        oracle_member = self._oracle.member
+        for x in range(self._scanned_upto.get(guess, 0) + 1, t + 1):
+            if candidate_member(x) and not oracle_member(guess, x):
+                self._violated.add(guess)
+                return 0
+        self._scanned_upto[guess] = t
         return 1
 
 

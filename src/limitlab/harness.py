@@ -40,6 +40,7 @@ from .languages import (
     candidate_subset_of,
     candidate_to_config,
     catalog,
+    check_kind,
     config_field,
     domain_candidate,
     empty_candidate,
@@ -49,8 +50,9 @@ from .languages import (
 )
 from .reduction import ReductionIdentifier, RoundState
 
-ALGORITHM_NAMES = ("telltale", "consistency_min", "negex", "alg1", "alg2")
-IDENTIFICATION_ALGORITHMS = ("telltale", "consistency_min", "alg2")
+# Every algorithm and, in wire order, the params it takes.
+ALGORITHM_PARAMS = {"telltale": (), "consistency_min": (), "negex": (),
+                    "alg1": ("identifier",), "alg2": ("identifier", "fresh_copies")}
 DETECTION_ALGORITHMS = ("negex", "alg1")
 
 # Scenario ids name output files, so they may not hold path separators.
@@ -150,28 +152,41 @@ def analyze_stabilization(
     return StabilizationReport(True, start, final, True)
 
 
+def _check_algorithm(name: object, params: Mapping) -> None:
+    """ConfigError for an unknown algorithm or a non-null param it does not take."""
+    if not isinstance(name, str) or name not in ALGORITHM_PARAMS:
+        known = ", ".join(ALGORITHM_PARAMS)
+        raise ConfigError(f"algorithm: unknown name {name!r} (known: {known})")
+    for key, value in params.items():
+        if value is not None and key not in ALGORITHM_PARAMS[name]:
+            raise ConfigError(f"algorithm: {name!r} takes no param {key!r}")
+
+
 def validate_scenario(
     scenario: GameScenario, collections: Mapping[str, Collection]
 ) -> Collection:
-    sid = scenario.scenario_id
+    """Check a scenario against the rules a scenario file is held to."""
+    sid = check_kind("scenario_id", scenario.scenario_id, str)
     if not SCENARIO_ID_PATTERN.fullmatch(sid):
         raise ConfigError(f"scenario_id: {sid!r} must match {SCENARIO_ID_PATTERN.pattern}")
-    collection = resolve_collection(scenario.collection_id, collections)
+    collection = resolve_collection(check_kind("collection", scenario.collection_id, str),
+                                    collections)
     collection.language(scenario.target_index)
-    if scenario.horizon < 1:
+    if check_kind("horizon", scenario.horizon, int) < 1:
         raise ConfigError("horizon: must be >= 1")
+    check_kind("fresh_copies", scenario.fresh_copies, bool)
     alg = scenario.algorithm
-    if alg not in ALGORITHM_NAMES:
-        raise ConfigError(f"algorithm: unknown name {alg!r} (known: {', '.join(ALGORITHM_NAMES)})")
+    # fresh_copies unset is False; a file's unset param is null
+    _check_algorithm(alg, {"identifier": scenario.identifier,
+                           "fresh_copies": scenario.fresh_copies or None})
     if alg in DETECTION_ALGORITHMS and scenario.candidate is None:
         raise ConfigError(f"candidate: algorithm {alg!r} requires a candidate set")
-    if alg in IDENTIFICATION_ALGORITHMS and scenario.candidate is not None:
+    if alg not in DETECTION_ALGORITHMS and scenario.candidate is not None:
         raise ConfigError(f"candidate: identification algorithm {alg!r} takes no candidate set")
-    if alg in ("alg1", "alg2"):
-        if scenario.identifier not in IDENTIFIER_NAMES:
-            raise ConfigError(
-                f"identifier: algorithm {alg!r} requires one of {', '.join(IDENTIFIER_NAMES)}"
-            )
+    if "identifier" in ALGORITHM_PARAMS[alg] and scenario.identifier not in IDENTIFIER_NAMES:
+        raise ConfigError(
+            f"identifier: algorithm {alg!r} requires one of {', '.join(IDENTIFIER_NAMES)}"
+        )
     strategy = scenario.strategy
     if strategy.name == "block_shuffle" and strategy.block_growth > scenario.horizon:
         # The first block alone holds block_growth elements.
@@ -279,8 +294,9 @@ def run_sweep(
     scenarios: Sequence[GameScenario],
     collections: Optional[Mapping[str, Collection]] = None,
 ) -> list[dict]:
-    """Run every scenario independently; errors become failed rows."""
-    ids = [s.scenario_id for s in scenarios]
+    """Run every scenario independently; errors become failed rows.
+    Ids are compared and sorted as text: a non-string id gets its row too."""
+    ids = [str(s.scenario_id) for s in scenarios]
     if len(set(ids)) != len(ids):
         raise ConfigError("scenario ids must be unique within a sweep")
     collections = catalog() if collections is None else collections
@@ -292,7 +308,7 @@ def run_sweep(
             rows.append(_sweep_row(scenario, None, "error", str(exc)))
             continue
         rows.append(_sweep_row(scenario, outcome, outcome.status, outcome.detail))
-    rows.sort(key=lambda row: row["scenario_id"])
+    rows.sort(key=lambda row: str(row["scenario_id"]))
     return rows
 
 
@@ -698,11 +714,7 @@ def identification_grid(
 
 
 def _algorithm_config(scenario: GameScenario) -> dict:
-    params: dict = {}
-    if scenario.algorithm in ("alg1", "alg2"):
-        params["identifier"] = scenario.identifier
-    if scenario.algorithm == "alg2":
-        params["fresh_copies"] = scenario.fresh_copies
+    params = {key: getattr(scenario, key) for key in ALGORITHM_PARAMS[scenario.algorithm]}
     return {"name": scenario.algorithm, "params": params}
 
 
@@ -742,10 +754,7 @@ def scenario_from_config(
         raise ConfigError(f"algorithm: expected a name or an object, got {algorithm!r}")
     name = algorithm.get("name", "")
     params = config_field(algorithm, "params", Mapping, {})
-    taken = (("alg1", "identifier"), ("alg2", "identifier"), ("alg2", "fresh_copies"))
-    for key, value in params.items():
-        if value is not None and (name, key) not in taken:
-            raise ConfigError(f"algorithm: {name!r} takes no param {key!r}")
+    _check_algorithm(name, params)
     candidate_config = config.get("candidate")
     candidate = (
         None
@@ -792,9 +801,9 @@ def _step_format(output_key: str, labeled: bool = False) -> tuple[str, Callable]
 
 
 _STEP_FORMATS = {
+    **dict.fromkeys(ALGORITHM_PARAMS, _step_format("guess")),
     "negex": _step_format("verdict", labeled=True),
     "alg1": _step_format("verdict"),
-    **dict.fromkeys(IDENTIFICATION_ALGORITHMS, _step_format("guess")),
 }
 
 

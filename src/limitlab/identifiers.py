@@ -97,8 +97,6 @@ class _IndexIdentifier:
 class TelltaleIdentifier(_IndexIdentifier):
     """Identification by enumeration over tell-tale certified candidates."""
 
-    name = "telltale"
-
     def _telltale(self, index: int) -> tuple[int, ...]:
         telltale = self._collection.telltale(index)
         if telltale is None:
@@ -111,18 +109,15 @@ class TelltaleIdentifier(_IndexIdentifier):
 class ConsistencyMinIdentifier(_IndexIdentifier):
     """Guess the least in-range index consistent with everything seen."""
 
-    name = "consistency_min"
-
     def _telltale(self, index: int) -> tuple[int, ...]:
         return ()
 
 
-IDENTIFIER_NAMES = ("telltale", "consistency_min")
+IDENTIFIERS = {"telltale": TelltaleIdentifier, "consistency_min": ConsistencyMinIdentifier}
+IDENTIFIER_NAMES = tuple(IDENTIFIERS)
 
 
 def make_identifier(name: str, collection: Collection, oracle: CollectionOracle):
-    if name == "telltale":
-        return TelltaleIdentifier(collection, oracle)
-    if name == "consistency_min":
-        return ConsistencyMinIdentifier(collection, oracle)
-    raise ConfigError(f"unknown identifier {name!r} (known: {', '.join(IDENTIFIER_NAMES)})")
+    if name not in IDENTIFIERS:
+        raise ConfigError(f"unknown identifier {name!r} (known: {', '.join(IDENTIFIER_NAMES)})")
+    return IDENTIFIERS[name](collection, oracle)

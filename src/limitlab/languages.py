@@ -40,11 +40,14 @@ _KIND_NAMES = {bool: "a boolean", int: "an integer", str: "a string", Mapping: "
 def config_field(config: Mapping, key: str, kind: type, default=None):
     """``config[key]`` checked to be a bool, an int, a str or a Mapping, per ``kind``.
 
-    An absent or null field gives ``default``. Booleans are not integers.
+    An absent or null field gives ``default``.
     """
     value = config.get(key)
-    if value is None:
-        return default
+    return default if value is None else check_kind(key, value, kind)
+
+
+def check_kind(key: str, value, kind: type):
+    """``value`` of field ``key`` checked to be of ``kind``; booleans are not integers."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"{key}: expected {_KIND_NAMES[kind]}, got {value!r}")
     return value
@@ -165,8 +168,7 @@ class Collection:
 
     ``family(i)`` yields the i-th language for any index i >= 1. Each
     language is built on first use, which also validates the index, and
-    kept in ``_language_cache``; ``member`` reads that cache first.
-    ``subset_of(i, j)`` decides
+    kept in ``_language_cache``. ``subset_of(i, j)`` decides
     L_i <= L_j and ``equals(i, j)`` decides L_i == L_j, both exactly and
     from the languages' closed forms. ``telltale(i)`` yields a finite subset
     of L_i that certifies it against proper subsets within the family,
@@ -182,7 +184,7 @@ class Collection:
         self,
         id: str,
         family: Callable[[int], Language],
-        telltale: Optional[Callable[[int], Optional[tuple[int, ...]]]] = None,
+        telltale: Callable[[int], Optional[tuple[int, ...]]],
         finite_telltale_violation: Optional[Callable[[int, frozenset], Optional[int]]] = None,
         description: str = "",
     ) -> None:
@@ -207,12 +209,7 @@ class Collection:
 
     def member(self, i: int, x: int) -> bool:
         """The membership oracle: x in L_i."""
-        if type(i) is not int:
-            raise _index_error(i)
-        lang = self._language_cache.get(i)
-        if lang is None:
-            lang = self.language(i)
-        return lang.member(x)
+        return self.language(i).member(x)
 
     def subset_of(self, i: int, j: int) -> bool:
         return language_subset(self.language(i), self.language(j))
@@ -222,8 +219,6 @@ class Collection:
 
     def telltale(self, i: int) -> Optional[tuple[int, ...]]:
         """Tell-tale for index i, or None when missing for this index."""
-        if self._telltale is None:
-            return None
         self.language(i)  # validate the index
         return self._telltale(i)
 

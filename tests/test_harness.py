@@ -244,6 +244,86 @@ def test_sweep_captures_failures_and_continues():
     assert "candidate" in by_id["broken-run"]["detail"]
 
 
+# The documented contract: every algorithm and the params it takes, in wire order.
+ALGORITHM_CONTRACT = {
+    "telltale": (),
+    "consistency_min": (),
+    "negex": (),
+    "alg1": ("identifier",),
+    "alg2": ("identifier", "fresh_copies"),
+}
+UNTAKEN_VALUES = {"identifier": "consistency_min", "fresh_copies": True}
+
+
+def contract_scenario(algorithm, scenario_id="good", **fields):
+    """A valid short run of ``algorithm`` on the even numbers, ``fields`` put in."""
+    base = {"horizon": 5}
+    if algorithm in ("negex", "alg1"):
+        base["candidate"] = language_candidate(MULTIPLES, 4)
+    if "identifier" in ALGORITHM_CONTRACT[algorithm]:
+        base["identifier"] = "telltale"
+    return GameScenario(scenario_id, "multiples", 2, algorithm, **{**base, **fields})
+
+
+def assert_refused_by_game_and_sweep(bad, message):
+    with pytest.raises(ConfigError) as exc:
+        run_game(bad, CATALOG)
+    assert str(exc.value) == message
+    # the bad id, "bad" or 5, sorts before "good"
+    rows = run_sweep([contract_scenario("telltale"), bad], CATALOG)
+    assert [(row["scenario_id"], row["status"], row["detail"]) for row in rows] == [
+        (bad.scenario_id, "error", message), ("good", "ok", "")
+    ]
+
+
+def test_the_algorithm_table_is_the_documented_contract():
+    assert harness.ALGORITHM_PARAMS == ALGORITHM_CONTRACT
+
+
+@pytest.mark.parametrize("algorithm, key", [
+    (algorithm, key)
+    for algorithm, taken in ALGORITHM_CONTRACT.items()
+    for key in UNTAKEN_VALUES
+    if key not in taken
+])
+def test_untaken_params_are_refused_however_the_scenario_is_built(algorithm, key):
+    message = f"algorithm: {algorithm!r} takes no param {key!r}"
+    assert_refused_by_game_and_sweep(
+        contract_scenario(algorithm, "bad", **{key: UNTAKEN_VALUES[key]}), message
+    )
+    # a scenario file gets the same text
+    config = scenario_to_config(contract_scenario(algorithm))
+    config["algorithm"]["params"][key] = UNTAKEN_VALUES[key]
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_config(config, CATALOG)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("algorithm, field, value, message", [
+    ("alg2", "fresh_copies", "no", "fresh_copies: expected a boolean, got 'no'"),
+    ("telltale", "fresh_copies", 0, "fresh_copies: expected a boolean, got 0"),
+    ("telltale", "horizon", True, "horizon: expected an integer, got True"),
+    ("telltale", "horizon", 2.5, "horizon: expected an integer, got 2.5"),
+    ("telltale", "horizon", "5", "horizon: expected an integer, got '5'"),
+    ("telltale", "scenario_id", 5, "scenario_id: expected a string, got 5"),
+    ("telltale", "collection_id", ["m"], "collection: expected a string, got ['m']"),
+    ("telltale", "algorithm", ["telltale"],
+     "algorithm: unknown name ['telltale'] (known: telltale, consistency_min, negex, alg1, alg2)"),
+])
+def test_python_scenarios_get_the_field_types_a_file_must_have(algorithm, field, value, message):
+    bad = contract_scenario(algorithm, "bad")
+    assert_refused_by_game_and_sweep(replace(bad, **{field: value}), message)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHM_CONTRACT))
+def test_meta_params_are_the_algorithm_table_entry(algorithm):
+    outcome = run_game(contract_scenario(algorithm), CATALOG)
+    meta = json.loads(transcript_to_jsonl(outcome).splitlines()[0])["meta"]
+    taken = harness.ALGORITHM_PARAMS[algorithm]
+    assert tuple(outcome.transcript.meta["algorithm"]["params"]) == taken
+    assert tuple(meta["algorithm"]["params"]) == tuple(sorted(taken))
+
+
 def test_block_growth_is_bounded_by_the_horizon():
     at_bound = GameScenario("at-bound", "multiples", 2, "telltale", horizon=10,
                             strategy=Strategy("block_shuffle", seed=1, block_growth=10))

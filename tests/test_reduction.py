@@ -16,6 +16,7 @@ from limitlab import (
     run_game,
 )
 from limitlab.identifiers import (
+    IDENTIFIERS,
     ConsistencyMinIdentifier,
     TelltaleIdentifier,
     make_identifier,
@@ -243,11 +244,12 @@ def test_pooled_run_steps_one_identifier_and_replays_no_detector(
         build(self, *args)
 
     monkeypatch.setattr(ScanDetector, "__init__", counting_build)
+    name = {cls: key for key, cls in IDENTIFIERS.items()}[identifier_class]
 
     def run(horizon, fresh_copies):
         calls.update(identifier=0, detector=0, made=0, built=0)
         scenario = GameScenario(
-            "pin", "multiples", 6, "alg2", identifier=identifier_class.name,
+            "pin", "multiples", 6, "alg2", identifier=name,
             horizon=horizon, fresh_copies=fresh_copies,
         )
         assert run_game(scenario, CATALOG).status == "ok"
