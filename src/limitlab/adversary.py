@@ -17,9 +17,12 @@ from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from typing import Iterator, Mapping
 
-from .languages import ConfigError, Language, config_field
+from .languages import ConfigError, Language, check_kind, check_taken, config_field
 
-STRATEGY_NAMES = ("canonical", "repeat_heavy", "block_shuffle", "delay_pattern")
+# Every strategy and the param it takes in a scenario file.
+STRATEGY_PARAMS = {"canonical": (), "repeat_heavy": ("repeat_prob",),
+                   "block_shuffle": ("block_growth",), "delay_pattern": ("period",)}
+STRATEGY_NAMES = tuple(STRATEGY_PARAMS)
 
 RNG_ALGORITHM = "mt19937"
 
@@ -43,8 +46,11 @@ class Strategy:
     period: int = 1
 
     def __post_init__(self) -> None:
-        if self.name not in STRATEGY_NAMES:
-            raise ConfigError(f"unknown strategy {self.name!r}")
+        _check_name(self.name)
+        for key in ("seed", "repeat_num", "repeat_den", "block_growth", "period"):
+            value = getattr(self, key)
+            if type(value) is not int:  # plain ints skip the call
+                check_kind(key, value, int)
         if self.name == "repeat_heavy" and not 0 <= self.repeat_num < self.repeat_den:
             raise ConfigError("repeat_heavy needs 0 <= numerator < denominator")
         if self.name == "block_shuffle" and self.block_growth < 1:
@@ -64,8 +70,10 @@ class Strategy:
 
     @classmethod
     def from_config(cls, config: Mapping) -> "Strategy":
-        name = config.get("strategy", "canonical")
+        check_taken(config, ("strategy", "seed", "params"), "adversary", "field")
+        name = _check_name(config.get("strategy", "canonical"))
         params = config_field(config, "params", Mapping, {})
+        check_taken(params, STRATEGY_PARAMS[name], f"adversary: {name!r}")
         kwargs: dict = {}
         if name == "repeat_heavy":
             prob = params.get("repeat_prob", [1, 2])
@@ -81,6 +89,12 @@ class Strategy:
         elif name == "delay_pattern":
             kwargs = {"period": config_field(params, "period", int, 1)}
         return cls(name=name, seed=config_field(config, "seed", int, 0), **kwargs)
+
+
+def _check_name(name: object) -> str:
+    if not isinstance(name, str) or name not in STRATEGY_PARAMS:
+        raise ConfigError(f"unknown strategy {name!r}")
+    return name
 
 
 def _presentation(language: Language, strategy: Strategy) -> Iterator[int]:

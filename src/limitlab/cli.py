@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .adversary import STRATEGY_NAMES, Strategy
+from .adversary import STRATEGY_NAMES, STRATEGY_PARAMS, Strategy
 from .harness import (
     DETECTION_ALGORITHMS,
     RunOutcome,
@@ -104,7 +104,9 @@ def _adversary_from_args(args: argparse.Namespace) -> dict:
             raise ConfigError(
                 f"--repeat-prob wants numerator/denominator, got {args.repeat_prob!r}"
             ) from None
-    return {"strategy": args.strategy, "seed": args.seed, "params": params}
+    taken = STRATEGY_PARAMS[args.strategy]
+    return {"strategy": args.strategy, "seed": args.seed,
+            "params": {key: params[key] for key in taken}}
 
 
 def _load_json(path: str):

@@ -16,7 +16,8 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from itertools import islice, repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -41,6 +42,7 @@ from .languages import (
     candidate_to_config,
     catalog,
     check_kind,
+    check_taken,
     config_field,
     domain_candidate,
     empty_candidate,
@@ -54,6 +56,10 @@ from .reduction import ReductionIdentifier, RoundState
 ALGORITHM_PARAMS = {"telltale": (), "consistency_min": (), "negex": (),
                     "alg1": ("identifier",), "alg2": ("identifier", "fresh_copies")}
 DETECTION_ALGORITHMS = ("negex", "alg1")
+
+# The fields a scenario file takes.
+SCENARIO_FIELDS = ("scenario_id", "collection", "target_index", "candidate", "adversary",
+                   "algorithm", "horizon")
 
 # Scenario ids name output files, so they may not hold path separators.
 SCENARIO_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
@@ -157,9 +163,7 @@ def _check_algorithm(name: object, params: Mapping) -> None:
     if not isinstance(name, str) or name not in ALGORITHM_PARAMS:
         known = ", ".join(ALGORITHM_PARAMS)
         raise ConfigError(f"algorithm: unknown name {name!r} (known: {known})")
-    for key, value in params.items():
-        if value is not None and key not in ALGORITHM_PARAMS[name]:
-            raise ConfigError(f"algorithm: {name!r} takes no param {key!r}")
+    check_taken(params, ALGORITHM_PARAMS[name], f"algorithm: {name!r}")
 
 
 def validate_scenario(
@@ -179,15 +183,17 @@ def validate_scenario(
     # fresh_copies unset is False; a file's unset param is null
     _check_algorithm(alg, {"identifier": scenario.identifier,
                            "fresh_copies": scenario.fresh_copies or None})
-    if alg in DETECTION_ALGORITHMS and scenario.candidate is None:
-        raise ConfigError(f"candidate: algorithm {alg!r} requires a candidate set")
-    if alg not in DETECTION_ALGORITHMS and scenario.candidate is not None:
+    if alg in DETECTION_ALGORITHMS:
+        if scenario.candidate is None:
+            raise ConfigError(f"candidate: algorithm {alg!r} requires a candidate set")
+        check_kind("candidate", scenario.candidate, CandidateSet)
+    elif scenario.candidate is not None:
         raise ConfigError(f"candidate: identification algorithm {alg!r} takes no candidate set")
     if "identifier" in ALGORITHM_PARAMS[alg] and scenario.identifier not in IDENTIFIER_NAMES:
         raise ConfigError(
             f"identifier: algorithm {alg!r} requires one of {', '.join(IDENTIFIER_NAMES)}"
         )
-    strategy = scenario.strategy
+    strategy = check_kind("strategy", scenario.strategy, Strategy)
     if strategy.name == "block_shuffle" and strategy.block_growth > scenario.horizon:
         # The first block alone holds block_growth elements.
         raise ConfigError("block_growth: must not exceed the horizon")
@@ -446,37 +452,25 @@ def check_angluin(
                     f"telltale: element {x} is outside the index-{index} language"
                 )
 
-    def result(verdict: str, method: str, witness=None, strictness=None) -> AngluinCheckResult:
-        return AngluinCheckResult(
-            collection_id=collection.id,
-            index=index,
-            telltale=elements,
-            verdict=verdict,
-            index_bound=index_bound,
-            element_bound=element_bound,
-            method=method,
-            witness_index=witness,
-            strictness_element=strictness,
-        )
-
+    result = partial(AngluinCheckResult, collection.id, index, elements,
+                     index_bound=index_bound, element_bound=element_bound)
     if collection.finite_telltale_violation is not None:
+        method = "closed_form"
         witness = collection.finite_telltale_violation(index, frozenset(elements))
         if witness is None:
-            return result(VERDICT_SATISFIED, "closed_form")
-        strictness = _strictness_element(collection, index, witness, element_bound)
-        if strictness is None:
-            return result(VERDICT_INCONCLUSIVE, "closed_form")
-        return result(VERDICT_VIOLATION, "closed_form", witness, strictness)
-
-    for j in range(1, index_bound + 1):
-        if not all(collection.member(j, x) for x in elements):
-            continue
-        if not _proper_subset(collection, j, index):
-            continue
+            return result(VERDICT_SATISFIED, method=method)
+        witnesses: Iterable[int] = (witness,)
+    else:
+        method = "bounded_search"
+        witnesses = (j for j in range(1, index_bound + 1)
+                     if all(collection.member(j, x) for x in elements)
+                     and _proper_subset(collection, j, index))
+    for j in witnesses:
         strictness = _strictness_element(collection, index, j, element_bound)
         if strictness is not None:
-            return result(VERDICT_VIOLATION, "bounded_search", j, strictness)
-    return result(VERDICT_INCONCLUSIVE, "bounded_search")
+            return result(VERDICT_VIOLATION, method=method,
+                          witness_index=j, strictness_element=strictness)
+    return result(VERDICT_INCONCLUSIVE, method=method)
 
 
 def replay_certificate(collection: Collection, result: AngluinCheckResult) -> bool:
@@ -555,42 +549,16 @@ def run_roundtrip(
             f"collection {collection_id!r} lacks a tell-tale oracle for index 1; "
             "the identifier-backed detector cannot be constructed"
         )
-    base = dict(
-        collection_id=collection_id,
-        target_index=target_index,
-        strategy=strategy,
-        horizon=horizon,
-    )
-    ident = run_game(
-        GameScenario(scenario_id="roundtrip-identifier", algorithm="telltale", **base),
-        collections,
-    )
-    detector = run_game(
-        GameScenario(
-            scenario_id="roundtrip-detector",
-            algorithm="alg1",
-            identifier="telltale",
-            candidate=language_candidate(collection, target_index),
-            **base,
-        ),
-        collections,
-    )
-    reduced = run_game(
-        GameScenario(
-            scenario_id="roundtrip-reduced",
-            algorithm="alg2",
-            identifier="telltale",
-            fresh_copies=fresh_copies,
-            **base,
-        ),
-        collections,
-    )
-    agreement = bool(
-        ident.report is not None
-        and reduced.report is not None
-        and ident.report.stabilized
-        and reduced.report.stabilized
-    )
+    scenario = GameScenario("roundtrip-identifier", collection_id, target_index, "telltale",
+                            strategy=strategy, horizon=horizon)
+    ident, detector, reduced = (run_game(leg, collections) for leg in (
+        scenario,
+        replace(scenario, scenario_id="roundtrip-detector", algorithm="alg1",
+                identifier="telltale", candidate=language_candidate(collection, target_index)),
+        replace(scenario, scenario_id="roundtrip-reduced", algorithm="alg2",
+                identifier="telltale", fresh_copies=fresh_copies),
+    ))
+    agreement = all(leg.report is not None and leg.report.stabilized for leg in (ident, reduced))
     return RoundtripResult(ident, detector, reduced, agreement)
 
 
@@ -746,12 +714,14 @@ def scenario_from_config(
         key in config for key in ("collection", "target_index", "algorithm")
     ):
         raise ConfigError("scenario: needs collection, target_index and algorithm fields")
+    check_taken(config, SCENARIO_FIELDS, "scenario", "field")
     collection_id = config_field(config, "collection", str)
     algorithm = config["algorithm"]
     if isinstance(algorithm, str):
         algorithm = {"name": algorithm}
     elif not isinstance(algorithm, Mapping):
         raise ConfigError(f"algorithm: expected a name or an object, got {algorithm!r}")
+    check_taken(algorithm, ("name", "params"), "algorithm", "field")
     name = algorithm.get("name", "")
     params = config_field(algorithm, "params", Mapping, {})
     _check_algorithm(name, params)
@@ -776,34 +746,19 @@ def scenario_from_config(
     return scenario
 
 
-def _step_format(output_key: str, labeled: bool = False) -> tuple[str, Callable]:
-    """Line template and column getter for one shape of step record.
-
-    ``json.dumps`` of a record whose values name ``Transcript`` columns
-    fixes key order and spacing; each name then becomes ``%d``, and the
-    getter picks a transcript's columns in the order the names appeared.
-    """
-    record = {
-        "t": "<t>",
-        "w": "<w>",
-        output_key: "<output>",
-        "fresh_candidate_queries": "<fresh_candidate>",
-        "fresh_collection_queries_by_purpose": {
-            "consistency": "<fresh_consistency>",
-            "detector": "<fresh_detector>",
-        },
-    }
-    if labeled:
-        record["y"] = "<y>"
-    text = json.dumps(record, sort_keys=True)
-    names = re.findall(r'"<(\w+)>"', text)
-    return re.sub(r'"<\w+>"', "%d", text) + "\n", attrgetter(*names)
-
-
+# Step record templates, each with the Transcript columns its %d fields
+# take in order. Keys are in the order json.dumps(sort_keys=True) writes
+# them; reference_transcript_to_jsonl and the golden digests pin the bytes.
+_QUERIES = ('{"fresh_candidate_queries": %d, "fresh_collection_queries_by_purpose": '
+            '{"consistency": %d, "detector": %d}, ')
+_COUNTS = ("fresh_candidate", "fresh_consistency", "fresh_detector")
 _STEP_FORMATS = {
-    **dict.fromkeys(ALGORITHM_PARAMS, _step_format("guess")),
-    "negex": _step_format("verdict", labeled=True),
-    "alg1": _step_format("verdict"),
+    **dict.fromkeys(ALGORITHM_PARAMS, (_QUERIES + '"guess": %d, "t": %d, "w": %d}\n',
+                                       attrgetter(*_COUNTS, "output", "t", "w"))),
+    "negex": (_QUERIES + '"t": %d, "verdict": %d, "w": %d, "y": %d}\n',
+              attrgetter(*_COUNTS, "t", "output", "w", "y")),
+    "alg1": (_QUERIES + '"t": %d, "verdict": %d, "w": %d}\n',
+             attrgetter(*_COUNTS, "t", "output", "w")),
 }
 
 
@@ -822,13 +777,8 @@ def transcript_chunks(outcome: RunOutcome) -> Iterator[str]:
         yield chunk
     state = outcome.transcript.final_state
     if state is not None:
-        final_state = {
-            "t": state.t,
-            "consistent": list(state.consistent),
-            "accepted": list(state.accepted),
-            "guess": state.guess,
-            "inapplicable": list(state.inapplicable),
-        }
+        final_state = {name: getattr(state, name)
+                       for name in ("t", "consistent", "accepted", "guess", "inapplicable")}
         yield json.dumps({"final_state": final_state}, sort_keys=True) + "\n"
 
 

@@ -49,8 +49,16 @@ def config_field(config: Mapping, key: str, kind: type, default=None):
 def check_kind(key: str, value, kind: type):
     """``value`` of field ``key`` checked to be of ``kind``; booleans are not integers."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(f"{key}: expected {_KIND_NAMES[kind]}, got {value!r}")
+        expected = _KIND_NAMES.get(kind, f"a {kind.__name__}")
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
     return value
+
+
+def check_taken(config: Mapping, taken: Iterable[str], owner: str, noun: str = "param") -> None:
+    """ConfigError for a non-null key of ``config`` that is not in ``taken``."""
+    for key, value in config.items():
+        if value is not None and key not in taken:
+            raise ConfigError(f"{owner} takes no {noun} {key!r}")
 
 
 def _index_error(i: object) -> ConfigError:
@@ -292,9 +300,7 @@ def _finite_prefixes_collection() -> Collection:
 
 
 def _finite_sets_violation(index: int, telltale: frozenset) -> Optional[int]:
-    mask = 0
-    for x in telltale:
-        mask |= 1 << (x - 1)
+    mask = encode_finite_set(telltale) if telltale else 0
     if mask == index:
         return None
     if mask:
@@ -502,14 +508,24 @@ def _copy_tree(node: dict) -> dict:
             list(value) if type(value) is list else value for key, value in node.items()}
 
 
+# Every candidate kind and the params it takes.
+CANDIDATE_PARAMS = {"language_of": ("collection", "index"),
+                    "finite_union_with": ("base", "elements"), "finite_minus": ("base", "elements"),
+                    "explicit_finite": ("elements",), "all_of_domain": (), "empty": ()}
+
+
 def candidate_from_config(
     config: Mapping, collections: Mapping[str, Collection], default_collection: str = ""
 ) -> CandidateSet:
     """Build a candidate from the {kind, params} wire form."""
     if not isinstance(config, Mapping) or "kind" not in config:
         raise ConfigError("candidate: expected an object with a 'kind' field")
+    check_taken(config, ("kind", "params"), "candidate", "field")
     kind = config["kind"]
+    if not isinstance(kind, str) or kind not in CANDIDATE_PARAMS:
+        raise ConfigError(f"candidate: unknown kind {kind!r}")
     params = config_field(config, "params", Mapping, {})
+    check_taken(params, CANDIDATE_PARAMS[kind], f"candidate: {kind!r}")
     if kind == "language_of":
         cid = config_field(params, "collection", str) or default_collection
         if not cid:
@@ -518,25 +534,18 @@ def candidate_from_config(
         if not isinstance(index, int) or index < 1:
             raise ConfigError("candidate: language_of needs a positive index")
         return language_candidate(resolve_collection(cid, collections), index)
+    elements = params.get("elements")
+    if "elements" in CANDIDATE_PARAMS[kind] and not isinstance(elements, (list, tuple)):
+        raise ConfigError(f"candidate: {kind} needs an element list")
     if kind in ("finite_union_with", "finite_minus"):
         base = candidate_from_config(
             params.get("base") or {}, collections, default_collection
         )
-        elements = params.get("elements")
-        if not isinstance(elements, (list, tuple)):
-            raise ConfigError(f"candidate: {kind} needs an element list")
         build = union_candidate if kind == "finite_union_with" else minus_candidate
         return build(base, elements)
     if kind == "explicit_finite":
-        elements = params.get("elements")
-        if not isinstance(elements, (list, tuple)):
-            raise ConfigError("candidate: explicit_finite needs an element list")
         return finite_candidate(elements)
-    if kind == "all_of_domain":
-        return domain_candidate()
-    if kind == "empty":
-        return empty_candidate()
-    raise ConfigError(f"candidate: unknown kind {kind!r}")
+    return domain_candidate() if kind == "all_of_domain" else empty_candidate()
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,15 @@ def test_strategy_validation():
         Strategy("surprise")
 
 
+@pytest.mark.parametrize("name", ["canonical", "repeat_heavy", "block_shuffle", "delay_pattern"])
+@pytest.mark.parametrize("field", ["seed", "repeat_num", "repeat_den", "block_growth", "period"])
+def test_python_strategies_get_the_int_checks_a_file_gets(name, field):
+    for value in ("x", "2", [1], True, 1.5):
+        with pytest.raises(ConfigError) as exc:
+            Strategy(name, **{field: value})
+        assert str(exc.value) == f"{field}: expected an integer, got {value!r}"
+
+
 def test_strategy_config_roundtrip():
     for strategy in STRATEGIES:
         assert Strategy.from_config(strategy.to_config()) == strategy

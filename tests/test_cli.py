@@ -372,6 +372,11 @@ BAD_FIELDS = [
     (("candidate",), {"kind": "explicit_finite", "params": {"elements": ["a", 1]}}),
     (("candidate",), {"kind": "explicit_finite", "params": {"elements": [[1]]}}),
     (("candidate",), {"kind": "explicit_finite", "params": {"elements": [{}, 2]}}),
+    # keys the object does not take
+    (("adversary",), {"strategy": "delay_pattern", "params": {"perod": 3}}),
+    (("horizn",), 5),
+    (("candidate",), {"kind": "all_of_domain", "params": {"elements": [1]}}),
+    (("candidate", "kind"), []),
 ]
 
 

@@ -51,6 +51,7 @@ from tests.oracles import (
     language_members_upto,
     reference_transcript_to_jsonl,
 )
+from tests.test_cli import with_field
 from tests.test_golden import corpus
 
 CATALOG = catalog()
@@ -309,10 +310,45 @@ def test_untaken_params_are_refused_however_the_scenario_is_built(algorithm, key
     ("telltale", "collection_id", ["m"], "collection: expected a string, got ['m']"),
     ("telltale", "algorithm", ["telltale"],
      "algorithm: unknown name ['telltale'] (known: telltale, consistency_min, negex, alg1, alg2)"),
+    ("telltale", "strategy", "canonical", "strategy: expected a Strategy, got 'canonical'"),
+    ("negex", "candidate", "x", "candidate: expected a CandidateSet, got 'x'"),
 ])
 def test_python_scenarios_get_the_field_types_a_file_must_have(algorithm, field, value, message):
     bad = contract_scenario(algorithm, "bad")
     assert_refused_by_game_and_sweep(replace(bad, **{field: value}), message)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("horizn",), 5, "scenario takes no field 'horizn'"),
+    (("algorithm", "nme"), "alg1", "algorithm takes no field 'nme'"),
+    (("adversary", "sed"), 3, "adversary takes no field 'sed'"),
+    (("adversary", "params", "period"), 3, "adversary: 'canonical' takes no param 'period'"),
+    (("adversary",), {"strategy": "delay_pattern", "params": {"perod": 3}},
+     "adversary: 'delay_pattern' takes no param 'perod'"),
+    (("candidate", "parms"), {}, "candidate takes no field 'parms'"),
+    (("candidate",), {"kind": "all_of_domain", "params": {"elements": [1]}},
+     "candidate: 'all_of_domain' takes no param 'elements'"),
+    (("candidate", "params", "base"), {"kind": "empty"},
+     "candidate: 'language_of' takes no param 'base'"),
+    (("candidate", "kind"), [], "candidate: unknown kind []"),
+    (("adversary", "strategy"), [], "unknown strategy []"),
+])
+def test_scenario_files_refuse_keys_their_object_does_not_take(path, value, message):
+    config = with_field(path, value, scenario_to_config(contract_scenario("alg1")))
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_config(config, CATALOG)
+    assert str(exc.value) == message
+
+
+def test_scenario_files_read_a_null_key_as_absent():
+    scenario = contract_scenario("alg1")
+    config = scenario_to_config(scenario)
+    config["horizn"] = None
+    config["algorithm"]["nme"] = None
+    config["adversary"].update(sed=None, params={"period": None})
+    config["candidate"]["parms"] = None
+    config["candidate"]["params"]["elements"] = None
+    assert scenario_from_config(config, CATALOG) == scenario
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHM_CONTRACT))
@@ -422,6 +458,9 @@ def test_checker_closed_form_matches_bounded_search_on_small_indices():
             for telltale in telltales:
                 exact = check_angluin(original, i, telltale=telltale, bounds=(256, 256))
                 searched = check_angluin(stripped, i, telltale=telltale, bounds=(256, 256))
+                assert (exact.method, searched.method) == ("closed_form", "bounded_search")
+                for result in (exact, searched):
+                    assert (result.index_bound, result.element_bound) == (256, 256)
                 if exact.verdict == VERDICT_SATISFIED:
                     assert searched.verdict == VERDICT_INCONCLUSIVE
                 else:
