@@ -71,7 +71,8 @@ class Strategy:
     @classmethod
     def from_config(cls, config: Mapping) -> "Strategy":
         check_taken(config, ("strategy", "seed", "params"), "adversary", "field")
-        name = _check_name(config.get("strategy", "canonical"))
+        name = config.get("strategy")
+        name = _check_name("canonical" if name is None else name)
         params = config_field(config, "params", Mapping, {})
         check_taken(params, STRATEGY_PARAMS[name], f"adversary: {name!r}")
         kwargs: dict = {}
@@ -93,7 +94,7 @@ class Strategy:
 
 def _check_name(name: object) -> str:
     if not isinstance(name, str) or name not in STRATEGY_PARAMS:
-        raise ConfigError(f"unknown strategy {name!r}")
+        raise ConfigError(f"adversary: unknown strategy {name!r}")
     return name
 
 

@@ -595,17 +595,18 @@ class QueryLedger:
 class CollectionOracle:
     """Ledgered membership handle onto one collection.
 
-    Only fresh queries count, under this handle's purpose. ``cached=True``
-    answers repeated keys from per-index rows, index -> {element: answer},
-    each made with its first answer; answers are bools, so None is a miss.
-    Only alg2's shared detector handle can repeat a key: consistency sets
-    and alg1's sweep ask each key once, so ``run_game`` builds theirs
-    uncached. A miss reads the language from the collection's language
-    cache and builds it there on first use. ``sweep`` is alg2's detector
-    pool scan: many ``member`` calls in one frame, one bound L_guess row.
+    Only fresh queries count, under this handle's purpose. Answers come
+    from the closed forms, so ``cached=True`` keeps only which keys were
+    asked, as a frontier per index: (i, x) was iff x <= ``_upto[i]`` or x
+    is in the set ``_above[i]``, whose keys all lie above that prefix.
+    Pooled alg2 asks each index a prefix and a few stream elements above
+    it, so this grows linearly with the horizon. Only alg2's shared
+    detector handle can repeat a key: consistency sets and alg1's sweep
+    ask each key once, so ``run_game`` builds theirs uncached. ``sweep``
+    is alg2's pool scan: many ``member`` calls in one frame.
     """
 
-    __slots__ = ("collection", "_languages", "_ledger", "_purpose", "_cache")
+    __slots__ = ("collection", "_languages", "_ledger", "_purpose", "_upto", "_above")
 
     def __init__(self, collection: Collection, ledger: QueryLedger, purpose: str,
                  cached: bool = True) -> None:
@@ -615,26 +616,44 @@ class CollectionOracle:
         self._languages = collection._language_cache
         self._ledger = ledger
         self._purpose = purpose
-        self._cache: Optional[dict[int, dict[int, bool]]] = {} if cached else None
+        self._upto: Optional[dict[int, int]] = {} if cached else None
+        self._above: Optional[dict[int, set[int]]] = {} if cached else None
 
     def member(self, i: int, x: int) -> bool:
-        # True and 1.0 hash like 1, so unchecked they would read L_1's answers.
+        # True and 1.0 equal 1, 2.0 equals 2: unchecked, they would alias int keys.
         if type(i) is not int:
             raise _index_error(i)
-        cache = self._cache
-        row = None if cache is None else cache.get(i)
-        value = None if row is None else row.get(x)
-        if value is None:
-            lang = self._languages.get(i)
-            if lang is None:
-                lang = self.collection.language(i)
-            value = lang.member(x)
-            self._ledger.record(self._purpose)
-            if cache is not None:
-                if row is None:
-                    row = cache[i] = {}
-                row[x] = value
+        if type(x) is not int or x < 1:
+            _check_element(x)
+        lang = self._languages.get(i) or self.collection.language(i)
+        value = x % lang.modulus == 0 if lang.modulus else x in lang._members
+        upto = self._upto
+        if upto is not None:
+            p = upto.get(i, 0)
+            if x == p + 1 and i not in self._above:
+                upto[i] = x
+            elif x <= p or x in self._above.setdefault(i, set()):
+                return value
+            else:
+                self._above[i].add(x)
+        self._ledger.record(self._purpose)
         return value
+
+    def _ask(self, i: int, first: int, last: int) -> int:
+        """Mark the keys (i, first..last) asked; the number of them that were fresh."""
+        p = self._upto.get(i, 0)
+        if last <= p or last < first:  # none above the prefix
+            return 0
+        above = self._above.setdefault(i, set())
+        n = len(above)
+        if first > p + 1:
+            above.update(range(first, last + 1))
+            return len(above) - n
+        above.difference_update(range(p + 1, last + 1))  # the prefix takes the keys
+        if not above:
+            del self._above[i]
+        self._upto[i] = last
+        return last - p - (n - len(above))
 
     def sweep(self, indices: Iterable[int], guess: int, xs: range) -> list[int]:
         """The indices i, in order, for which some x in ``xs`` is in L_i but not in L_guess.
@@ -642,23 +661,26 @@ class CollectionOracle:
         For each index it asks L_i about ``xs`` in order, asks L_guess
         only about an x that L_i holds, and stops at the first x outside
         L_guess: exactly the keys that the matching ``member`` calls
-        would ask, leaving the cache and the ledger as they would. The
-        fresh queries are recorded with one ledger call. L_guess's answers
-        live in L_guess's row, where every index reads them, so the sweep
-        needs a cached handle: an uncached one raises ConfigError.
+        would ask, leaving the frontier and the ledger as they would.
+        ``xs`` is a run of elements, so an index's keys are one too, and
+        most just move its prefix on. L_guess's keys are marked one by one
+        in the live frontier, which an index equal to guess shares (``gp``
+        only skips those under L_guess's starting prefix). One ledger call
+        records the fresh queries. L_guess's keys repeat across indices,
+        so the sweep needs a cached handle: an uncached one raises ConfigError.
         """
-        cache = self._cache
-        if cache is None:
+        upto, aboves, ask = self._upto, self._above, self._ask
+        if upto is None:
             raise ConfigError("sweep repeats keys, so it needs a cached oracle handle")
-        if xs and xs[0] < 1:
-            raise ConfigError(f"domain elements are positive integers, got {xs[0]!r}")
-        languages = self._languages
-        language = self.collection.language
+        first = xs.start
+        if xs.step != 1 or first < 1:
+            raise ConfigError(f"a sweep asks a run of positive elements, got {xs!r}")
+        languages, language = self._languages, self.collection.language
         if type(guess) is not int:
             raise _index_error(guess)
         guess_lang = languages.get(guess) or language(guess)
-        # bound first, so an index equal to guess shares it; dropped below if left empty
-        guess_row = cache.setdefault(guess, {})
+        gmod, gmem, gp = guess_lang.modulus, guess_lang._members, upto.get(guess, 0)
+        gtop = gmem.stop if type(gmem) is range else 0
         violators = []
         fresh = 0
         try:
@@ -666,28 +688,25 @@ class CollectionOracle:
                 if type(i) is not int:
                     raise _index_error(i)
                 lang = languages.get(i) or language(i)
-                # each index asks xs[0], so a row made for nonempty xs gets an answer
-                row = cache.get(i)
-                if row is None and xs:
-                    row = cache[i] = {}
-                # Language.member inlined: this loop makes most of alg2's queries
+                # closed forms inlined, a prefix {1..b} as x < b + 1: most queries are here
                 modulus, members = lang.modulus, lang._members
+                top = members.stop if type(members) is range else 0
+                last = xs.stop - 1
                 for x in xs:
-                    value = row.get(x)
-                    if value is None:
-                        value = row[x] = x % modulus == 0 if modulus else x in members
-                        fresh += 1
-                    if value:
-                        held = guess_row.get(x)
-                        if held is None:
-                            held = guess_row[x] = guess_lang.member(x)
-                            fresh += 1
-                        if not held:
+                    if x % modulus == 0 if modulus else x < top if top else x in members:
+                        if x > gp:
+                            fresh += ask(guess, x, x)
+                        if not (x % gmod == 0 if gmod else x < gtop if gtop else x in gmem):
                             violators.append(i)
+                            last = x
                             break
+                p = upto.get(i, 0)
+                if first > p + 1 or i in aboves:
+                    fresh += ask(i, first, last)
+                elif last > p:  # the run moves the prefix on
+                    upto[i] = last
+                    fresh += last - p
         finally:
-            if not guess_row:
-                del cache[guess]
             if fresh:
                 self._ledger.record(self._purpose, fresh)
         return violators

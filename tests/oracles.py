@@ -4,7 +4,9 @@ Everything here restates the algorithm contracts literally, with no
 caching, no incremental state, and no reuse of the production code
 paths, so the tests can cross-validate the real implementations against
 an oracle that is too slow to game. Expected values frozen into tests
-were computed with these functions first.
+were computed with these functions first. ``AnswerCacheOracle`` keeps
+state on purpose: it restates what a cached handle bills, with one
+stored answer per asked key.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ class KeyRecordingOracle(CollectionOracle):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.uncached = self._cache is None
+        self.uncached = self._upto is None
         self.keys: set[tuple[int, int]] = set()
 
     def member(self, i: int, x: int) -> bool:
@@ -219,6 +221,53 @@ class KeyRecordingOracle(CollectionOracle):
                 raise AssertionError(f"uncached {self._purpose} handle asked {key} twice")
             self.keys.add(key)
         return super().member(i, x)
+
+
+class AnswerCacheOracle:
+    """The cached detector handle as a per-key answer cache.
+
+    Every asked (index, element) key is stored with its answer, in
+    per-index rows; a key missing from its row is a fresh query, billed
+    under ``purpose``. ``sweep`` is the literal per-key ``member`` loop.
+    """
+
+    def __init__(self, collection: Collection, ledger, purpose: str) -> None:
+        self.collection = collection
+        self.ledger = ledger
+        self.purpose = purpose
+        self.rows: dict[int, dict[int, bool]] = {}
+
+    def member(self, i: int, x: int) -> bool:
+        row = self.rows.get(i, {})
+        if x not in row:
+            row[x] = self.collection.member(i, x)
+            self.rows[i] = row
+            self.ledger.record(self.purpose)
+        return row[x]
+
+    def fresh(self) -> int:
+        return sum(self.ledger.totals_by_purpose().values())
+
+    def sweep(self, indices, guess: int, xs: range) -> list[int]:
+        violators = []
+        for i in indices:
+            for x in xs:
+                if self.member(i, x) and not self.member(guess, x):
+                    violators.append(i)
+                    break
+        return violators
+
+
+def assert_same_asked_keys(oracle, ledger, reference, indices, elements) -> None:
+    """Ask ``oracle`` (billing ``ledger``) and ``reference`` every key (i, x),
+    i in ``indices``, x in ``elements``: the answers agree, and each key
+    is fresh on both handles or on neither."""
+    for i in indices:
+        for x in elements:
+            before = sum(ledger.totals_by_purpose().values()), reference.fresh()
+            assert oracle.member(i, x) == reference.member(i, x), (i, x)
+            after = sum(ledger.totals_by_purpose().values()), reference.fresh()
+            assert after[0] - before[0] == after[1] - before[1], (i, x)
 
 
 def reference_transcript_to_jsonl(outcome: RunOutcome) -> str:

@@ -331,7 +331,7 @@ def test_python_scenarios_get_the_field_types_a_file_must_have(algorithm, field,
     (("candidate", "params", "base"), {"kind": "empty"},
      "candidate: 'language_of' takes no param 'base'"),
     (("candidate", "kind"), [], "candidate: unknown kind []"),
-    (("adversary", "strategy"), [], "unknown strategy []"),
+    (("adversary", "strategy"), [], "adversary: unknown strategy []"),
 ])
 def test_scenario_files_refuse_keys_their_object_does_not_take(path, value, message):
     config = with_field(path, value, scenario_to_config(contract_scenario("alg1")))
@@ -345,7 +345,7 @@ def test_scenario_files_read_a_null_key_as_absent():
     config = scenario_to_config(scenario)
     config["horizn"] = None
     config["algorithm"]["nme"] = None
-    config["adversary"].update(sed=None, params={"period": None})
+    config["adversary"].update(strategy=None, sed=None, params={"period": None})
     config["candidate"]["parms"] = None
     config["candidate"]["params"]["elements"] = None
     assert scenario_from_config(config, CATALOG) == scenario

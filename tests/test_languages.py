@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import tracemalloc
 from collections import Counter
 from itertools import islice
@@ -36,6 +37,8 @@ from limitlab.languages import (
 )
 
 from tests.oracles import (
+    AnswerCacheOracle,
+    assert_same_asked_keys,
     brute_decode_finite_set,
     candidate_members_upto,
     extensional_subset,
@@ -236,31 +239,45 @@ def test_collection_oracle_rejects_non_int_index(index, warm):
     assert sum(ledger.totals_by_purpose().values()) == warm
 
 
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("element", [2.5, 2.0, True, "2"], ids=repr)
+def test_collection_oracle_refuses_non_int_elements(element, cached):
+    # A frontier compares keys with <=, so 2.0 would read as an asked key 2.
+    ledger = QueryLedger()
+    oracle = CollectionOracle(catalog()["multiples"], ledger, PURPOSE_DETECTOR, cached=cached)
+    oracle.member(2, 1)
+    message = f"domain elements are positive integers, got {element!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        oracle.member(2, element)
+    assert sum(ledger.totals_by_purpose().values()) == 1
+    assert oracle.member(2, 2) is True  # key 2 is still fresh
+    assert sum(ledger.totals_by_purpose().values()) == 2
+
+
+def detector_handles(collection):
+    """A cached detector handle, its ledger, and the per-key reference beside it."""
+    ledger = QueryLedger()
+    oracle = CollectionOracle(collection, ledger, PURPOSE_DETECTOR)
+    return oracle, ledger, AnswerCacheOracle(collection, QueryLedger(), PURPOSE_DETECTOR)
+
+
 @pytest.mark.parametrize("index", NON_INT_INDICES, ids=repr)
 def test_collection_oracle_sweep_rejects_non_int_index(index):
-    ledger = QueryLedger()
-    oracle = CollectionOracle(catalog()["multiples"], ledger, PURPOSE_DETECTOR)
-    oracle.member(1, 5)
+    oracle, ledger, reference = detector_handles(catalog()["multiples"])
+    for handle in (oracle, reference):
+        handle.member(1, 5)
+        with pytest.raises(ConfigError):
+            handle.sweep([2, index], 3, range(1, 4))
+    # the keys asked before the refusal stay asked, as per-key calls leave them
+    assert ledger.totals_by_purpose() == reference.ledger.totals_by_purpose()
     with pytest.raises(ConfigError):
-        oracle.sweep([2, index], 3, range(1, 4))
-    with pytest.raises(ConfigError):
-        oracle.sweep([2], index, range(1, 4))
-    assert {} not in oracle._cache.values()
+        oracle.sweep([4], index, range(1, 4))  # refused before any key is asked
+    assert ledger.totals_by_purpose() == reference.ledger.totals_by_purpose()
+    assert_same_asked_keys(oracle, ledger, reference, range(1, 6), range(1, 7))
 
 
 # ---------------------------------------------------------------------------
 # the pool sweep kernel
-
-
-def reference_sweep(oracle, indices, guess, xs):
-    """``CollectionOracle.sweep`` as per-key member calls, in the same order."""
-    violators = []
-    for i in indices:
-        for x in xs:
-            if oracle.member(i, x) and not oracle.member(guess, x):
-                violators.append(i)
-                break
-    return violators
 
 
 _SWEEP_INDICES = st.integers(min_value=1, max_value=40)
@@ -281,21 +298,57 @@ def test_sweep_matches_per_key_member_calls(cid, indices, guess, start, length, 
         guess = indices[guess % len(indices)]
     guess = max(guess, 1)
     xs = range(start, start + length)
-    oracles = []
-    for _ in range(2):
-        ledger = QueryLedger()
-        oracle = CollectionOracle(CATALOG[cid], ledger, PURPOSE_DETECTOR)
-        for i, x in warm:
-            oracle.member(i, x)
-        ledger.begin_step(1)
-        oracles.append(oracle)
-    kernel, reference = oracles
-    assert kernel.sweep(indices, guess, xs) == reference_sweep(reference, indices, guess, xs)
-    assert kernel._ledger.per_step(PURPOSE_DETECTOR) == reference._ledger.per_step(
-        PURPOSE_DETECTOR
-    )
-    assert kernel._ledger.totals_by_purpose() == reference._ledger.totals_by_purpose()
-    assert kernel._cache == reference._cache  # the same keys, with the same answers
+    kernel, ledger, reference = detector_handles(CATALOG[cid])
+    for i, x in warm:
+        kernel.member(i, x)
+        reference.member(i, x)
+    ledger.begin_step(1)
+    reference.ledger.begin_step(1)
+    assert kernel.sweep(indices, guess, xs) == reference.sweep(indices, guess, xs)
+    assert ledger.per_step(PURPOSE_DETECTOR) == reference.ledger.per_step(PURPOSE_DETECTOR)
+    assert ledger.totals_by_purpose() == reference.ledger.totals_by_purpose()
+    # the same keys asked, with the same answers
+    assert_same_asked_keys(kernel, ledger, reference, {*indices, guess, *(i for i, _ in warm)},
+                           range(1, 43))
+
+
+_FAR = 10**6  # keys far above any prefix that these tests ask
+_ELEMENTS = st.one_of(st.integers(min_value=1, max_value=30),
+                      st.integers(min_value=_FAR, max_value=_FAR + 4))
+_ORACLE_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("member"), st.integers(min_value=1, max_value=8), _ELEMENTS),
+        # a guess below 0 picks one of the indices, when there are any
+        st.tuples(st.just("sweep"), st.lists(st.integers(min_value=1, max_value=8), max_size=6),
+                  st.integers(min_value=-3, max_value=8), _ELEMENTS,
+                  st.integers(min_value=0, max_value=12)),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(CATALOG)), _ORACLE_CALLS)
+def test_member_and_sweep_sequences_match_the_per_key_cache(cid, calls):
+    oracle, ledger, reference = detector_handles(CATALOG[cid])
+    elements = set(range(1, 31))
+    for t, call in enumerate(calls, start=1):
+        ledger.begin_step(t)
+        reference.ledger.begin_step(t)
+        if call[0] == "member":
+            _, i, x = call
+            elements.add(x)
+            assert oracle.member(i, x) == reference.member(i, x)
+        else:
+            _, indices, guess, start, length = call
+            if guess < 1:
+                guess = indices[guess % len(indices)] if indices else 1
+            xs = range(start, start + length)
+            elements.update(xs)
+            assert oracle.sweep(indices, guess, xs) == reference.sweep(indices, guess, xs)
+        assert ledger.per_step(PURPOSE_DETECTOR) == reference.ledger.per_step(PURPOSE_DETECTOR)
+    assert ledger.totals_by_purpose() == reference.ledger.totals_by_purpose()
+    assert_same_asked_keys(oracle, ledger, reference, range(1, 9), sorted(elements))
 
 
 def test_sweep_needs_a_cached_handle():
@@ -305,6 +358,16 @@ def test_sweep_needs_a_cached_handle():
     oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_CONSISTENCY, cached=False)
     with pytest.raises(ConfigError):
         oracle.sweep([2, 4], 2, range(1, 5))
+    assert sum(ledger.totals_by_purpose().values()) == 0
+
+
+@pytest.mark.parametrize("xs", [range(0, 3), range(1, 9, 2), range(5, 0, -1)], ids=repr)
+def test_sweep_asks_a_run_of_positive_elements(xs):
+    # The keys an index asks are marked as one run, so xs must be one.
+    ledger = QueryLedger()
+    oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_DETECTOR)
+    with pytest.raises(ConfigError, match="a sweep asks a run of positive elements"):
+        oracle.sweep([2, 4], 2, xs)
     assert sum(ledger.totals_by_purpose().values()) == 0
 
 
@@ -324,14 +387,49 @@ def test_member_and_sweep_share_rows():
 
 
 def test_sweep_asking_nothing_leaves_no_empty_row():
-    ledger = QueryLedger()
-    oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_DETECTOR)
-    assert oracle.sweep([], 3, range(1, 5)) == []
-    assert oracle.sweep([2, 3], 4, range(5, 5)) == []
-    assert oracle._cache == {} and sum(ledger.totals_by_purpose().values()) == 0
-    oracle.member(3, 1)
-    assert oracle.sweep([], 3, range(1, 5)) == []
-    assert oracle._cache == {3: {1: False}}
+    collection = catalog()["multiples"]
+    oracle, ledger, reference = detector_handles(collection)
+    for handle in (oracle, reference):
+        assert handle.sweep([], 3, range(1, 5)) == []
+        assert handle.sweep([2, 3], 4, range(5, 5)) == []
+    assert sum(ledger.totals_by_purpose().values()) == 0 == reference.fresh()
+    for handle in (oracle, reference):
+        handle.member(3, 1)
+        assert handle.sweep([], 3, range(1, 5)) == []
+    assert_same_asked_keys(oracle, ledger, reference, range(1, 6), range(1, 7))
+    # nor does any state outlive a sweep that asked nothing
+    guesses = range(10, 1010)
+    for g in range(10, 1011):
+        collection.language(g)
+    tracemalloc.start()
+    try:
+        for g in guesses:
+            oracle.sweep([], g, range(1, 5))
+            oracle.sweep([g, g + 1], g, range(5, 5))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2**12, held
+
+
+def test_keys_taken_into_the_prefix_leave_no_state_above_it():
+    collection = catalog()["multiples"]
+    indices = range(10, 1010)
+    for i in indices:
+        collection.language(i)
+    oracle, ledger, _ = detector_handles(collection)
+    tracemalloc.start()
+    try:
+        for i in indices:
+            oracle.member(i, 3)  # a key above each empty prefix
+        above, _ = tracemalloc.get_traced_memory()
+        for i in indices:
+            assert oracle.sweep([i], 1, range(1, 4)) == []  # the run (i, 1..3) takes it in
+        taken, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(ledger.totals_by_purpose().values()) == 3 * len(indices)
+    assert taken < above / 2, (taken, above)
 
 
 def test_sweep_records_its_fresh_queries_in_one_call(monkeypatch):
