@@ -24,34 +24,32 @@ class ConsistentIndices:
     """Seen elements, and the admitted indices whose language holds them all.
 
     ``alive`` lists the survivors in ascending order. ``admit`` vets an
-    index against the seen list once; ``see`` checks survivors only
+    index against the seen elements once; ``see`` checks survivors only
     against a newly seen element. Consistency is antitone in the seen
     set, which only grows, so a dropped index never returns.
     In round t the survivors lie below t and at most t elements have been
     seen, so seeing w and admitting t cost at most (t-1) + t = 2t-1 queries.
     """
 
-    __slots__ = ("_oracle", "seen_list", "seen", "alive")
+    __slots__ = ("_oracle", "seen", "alive")
 
     def __init__(self, oracle: CollectionOracle) -> None:
         self._oracle = oracle
-        self.seen_list: list[int] = []
-        self.seen: set[int] = set()
+        self.seen: dict[int, None] = {}  # insertion-ordered: the order of first sight
         self.alive: list[int] = []
 
     def see(self, w: int) -> bool:
         """Record w; drop the survivors that miss it. True when w is new."""
         if w in self.seen:
             return False
-        self.seen.add(w)
-        self.seen_list.append(w)
+        self.seen[w] = None
         member = self._oracle.member
         self.alive = [i for i in self.alive if member(i, w)]
         return True
 
     def admit(self, index: int) -> None:
         member = self._oracle.member
-        for x in self.seen_list:
+        for x in self.seen:
             if not member(index, x):
                 return
         # a tell-tale index admitted late can lie below the survivors

@@ -512,20 +512,35 @@ def _copy_tree(node: dict) -> dict:
 CANDIDATE_PARAMS = {"language_of": ("collection", "index"),
                     "finite_union_with": ("base", "elements"), "finite_minus": ("base", "elements"),
                     "explicit_finite": ("elements",), "all_of_domain": (), "empty": ()}
+# The most edits one candidate may nest: the wire form's copies and
+# encoders recurse once per edit.
+MAX_CANDIDATE_EDITS = 100
+_EDITS = {"finite_union_with": union_candidate, "finite_minus": minus_candidate}
 
 
 def candidate_from_config(
     config: Mapping, collections: Mapping[str, Collection], default_collection: str = ""
 ) -> CandidateSet:
     """Build a candidate from the {kind, params} wire form."""
-    if not isinstance(config, Mapping) or "kind" not in config:
-        raise ConfigError("candidate: expected an object with a 'kind' field")
-    check_taken(config, ("kind", "params"), "candidate", "field")
-    kind = config["kind"]
-    if not isinstance(kind, str) or kind not in CANDIDATE_PARAMS:
-        raise ConfigError(f"candidate: unknown kind {kind!r}")
-    params = config_field(config, "params", Mapping, {})
-    check_taken(params, CANDIDATE_PARAMS[kind], f"candidate: {kind!r}")
+    edits = []  # (build, elements) of each edit, the outermost first
+    while True:
+        if not isinstance(config, Mapping) or "kind" not in config:
+            raise ConfigError("candidate: expected an object with a 'kind' field")
+        check_taken(config, ("kind", "params"), "candidate", "field")
+        kind = config["kind"]
+        if not isinstance(kind, str) or kind not in CANDIDATE_PARAMS:
+            raise ConfigError(f"candidate: unknown kind {kind!r}")
+        params = config_field(config, "params", Mapping, {})
+        check_taken(params, CANDIDATE_PARAMS[kind], f"candidate: {kind!r}")
+        elements = params.get("elements")
+        if "elements" in CANDIDATE_PARAMS[kind] and not isinstance(elements, (list, tuple)):
+            raise ConfigError(f"candidate: {kind} needs an element list")
+        if kind not in _EDITS:
+            break
+        if len(edits) == MAX_CANDIDATE_EDITS:
+            raise ConfigError(f"candidate: more than {MAX_CANDIDATE_EDITS} nested edits")
+        edits.append((_EDITS[kind], elements))
+        config = params.get("base") or {}
     if kind == "language_of":
         cid = config_field(params, "collection", str) or default_collection
         if not cid:
@@ -533,19 +548,14 @@ def candidate_from_config(
         index = params.get("index")
         if not isinstance(index, int) or index < 1:
             raise ConfigError("candidate: language_of needs a positive index")
-        return language_candidate(resolve_collection(cid, collections), index)
-    elements = params.get("elements")
-    if "elements" in CANDIDATE_PARAMS[kind] and not isinstance(elements, (list, tuple)):
-        raise ConfigError(f"candidate: {kind} needs an element list")
-    if kind in ("finite_union_with", "finite_minus"):
-        base = candidate_from_config(
-            params.get("base") or {}, collections, default_collection
-        )
-        build = union_candidate if kind == "finite_union_with" else minus_candidate
-        return build(base, elements)
-    if kind == "explicit_finite":
-        return finite_candidate(elements)
-    return domain_candidate() if kind == "all_of_domain" else empty_candidate()
+        candidate = language_candidate(resolve_collection(cid, collections), index)
+    elif kind == "explicit_finite":
+        candidate = finite_candidate(elements)
+    else:
+        candidate = domain_candidate() if kind == "all_of_domain" else empty_candidate()
+    for build, elements in reversed(edits):
+        candidate = build(candidate, elements)
+    return candidate
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +609,12 @@ class CollectionOracle:
     from the closed forms, so ``cached=True`` keeps only which keys were
     asked, as a frontier per index: (i, x) was iff x <= ``_upto[i]`` or x
     is in the set ``_above[i]``, whose keys all lie above that prefix.
+    ``_ask`` marks keys; only ``sweep`` inlines its prefix move.
     Pooled alg2 asks each index a prefix and a few stream elements above
     it, so this grows linearly with the horizon. Only alg2's shared
     detector handle can repeat a key: consistency sets and alg1's sweep
     ask each key once, so ``run_game`` builds theirs uncached. ``sweep``
-    is alg2's pool scan: many ``member`` calls in one frame.
+    is alg2's pool scan: many indices asked about one run in one frame.
     """
 
     __slots__ = ("collection", "_languages", "_ledger", "_purpose", "_upto", "_above")
@@ -625,18 +636,9 @@ class CollectionOracle:
             raise _index_error(i)
         if type(x) is not int or x < 1:
             _check_element(x)
-        lang = self._languages.get(i) or self.collection.language(i)
-        value = x % lang.modulus == 0 if lang.modulus else x in lang._members
-        upto = self._upto
-        if upto is not None:
-            p = upto.get(i, 0)
-            if x == p + 1 and i not in self._above:
-                upto[i] = x
-            elif x <= p or x in self._above.setdefault(i, set()):
-                return value
-            else:
-                self._above[i].add(x)
-        self._ledger.record(self._purpose)
+        value = (self._languages.get(i) or self.collection.language(i)).member(x)
+        if self._upto is None or self._ask(i, x, x):
+            self._ledger.record(self._purpose)
         return value
 
     def _ask(self, i: int, first: int, last: int) -> int:
@@ -644,30 +646,29 @@ class CollectionOracle:
         p = self._upto.get(i, 0)
         if last <= p or last < first:  # none above the prefix
             return 0
-        above = self._above.setdefault(i, set())
+        above = self._above.get(i, ())
         n = len(above)
         if first > p + 1:
+            if not n:
+                above = self._above[i] = set()
             above.update(range(first, last + 1))
             return len(above) - n
-        above.difference_update(range(p + 1, last + 1))  # the prefix takes the keys
-        if not above:
-            del self._above[i]
         self._upto[i] = last
+        if n:
+            above.difference_update(range(p + 1, last + 1))  # the prefix takes the keys
+            if not above:
+                del self._above[i]
         return last - p - (n - len(above))
 
     def sweep(self, indices: Iterable[int], guess: int, xs: range) -> list[int]:
         """The indices i, in order, for which some x in ``xs`` is in L_i but not in L_guess.
 
-        For each index it asks L_i about ``xs`` in order, asks L_guess
-        only about an x that L_i holds, and stops at the first x outside
-        L_guess: exactly the keys that the matching ``member`` calls
-        would ask, leaving the frontier and the ledger as they would.
-        ``xs`` is a run of elements, so an index's keys are one too, and
-        most just move its prefix on. L_guess's keys are marked one by one
-        in the live frontier, which an index equal to guess shares (``gp``
-        only skips those under L_guess's starting prefix). One ledger call
-        records the fresh queries. L_guess's keys repeat across indices,
-        so the sweep needs a cached handle: an uncached one raises ConfigError.
+        It asks L_guess about all of ``xs``, then asks each index about
+        ``xs`` in order up to the first x in L_i but not in L_guess. One
+        ledger call records the fresh queries. L_guess's keys repeat
+        across indices, so the sweep needs a cached handle: an uncached
+        one raises ConfigError. Pooled alg2's literal protocol asks those
+        L_guess keys in the same round; ``ReductionIdentifier`` says why.
         """
         upto, aboves, ask = self._upto, self._above, self._ask
         if upto is None:
@@ -679,10 +680,10 @@ class CollectionOracle:
         if type(guess) is not int:
             raise _index_error(guess)
         guess_lang = languages.get(guess) or language(guess)
-        gmod, gmem, gp = guess_lang.modulus, guess_lang._members, upto.get(guess, 0)
+        gmod, gmem = guess_lang.modulus, guess_lang._members
         gtop = gmem.stop if type(gmem) is range else 0
         violators = []
-        fresh = 0
+        fresh = ask(guess, first, xs.stop - 1)
         try:
             for i in indices:
                 if type(i) is not int:
@@ -694,16 +695,16 @@ class CollectionOracle:
                 last = xs.stop - 1
                 for x in xs:
                     if x % modulus == 0 if modulus else x < top if top else x in members:
-                        if x > gp:
-                            fresh += ask(guess, x, x)
                         if not (x % gmod == 0 if gmod else x < gtop if gtop else x in gmem):
                             violators.append(i)
                             last = x
                             break
+                # _ask's prefix move, inlined: a seed-0 reduction pass sweeps
+                # 292,407 index runs, and a call for each cost ~10% of its ops/s
                 p = upto.get(i, 0)
                 if first > p + 1 or i in aboves:
                     fresh += ask(i, first, last)
-                elif last > p:  # the run moves the prefix on
+                elif last > p:
                     upto[i] = last
                     fresh += last - p
         finally:

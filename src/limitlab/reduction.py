@@ -47,7 +47,11 @@ class ReductionIdentifier:
     ``CollectionOracle.sweep`` per distinct past guess to catch the new
     index up, and one over the indices not yet violated under the
     round's guess, for the x since that guess last ran; these ask the
-    keys a step-by-step replay of every detector would. An
+    keys a step-by-step replay of every detector would. A sweep under g
+    also asks L_g about its whole run first, which bills nothing extra:
+    g is a pooled index never violated under itself, so that round's
+    sweep asks it that run anyway, or its catch-up when g is the new
+    index, and a past guess's catch-up run lies in its asked prefix. An
     ``Inapplicable`` from the tape at step s pins every index to 0 from
     round s on, since every replay reaches step s. By determinism this
     matches the literal protocol of rebuilding every detector from

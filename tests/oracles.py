@@ -228,7 +228,8 @@ class AnswerCacheOracle:
 
     Every asked (index, element) key is stored with its answer, in
     per-index rows; a key missing from its row is a fresh query, billed
-    under ``purpose``. ``sweep`` is the literal per-key ``member`` loop.
+    under ``purpose``. ``sweep`` is the literal per-key ``member`` loop:
+    L_guess about every x in ``xs``, then each index in turn.
     """
 
     def __init__(self, collection: Collection, ledger, purpose: str) -> None:
@@ -249,6 +250,8 @@ class AnswerCacheOracle:
         return sum(self.ledger.totals_by_purpose().values())
 
     def sweep(self, indices, guess: int, xs: range) -> list[int]:
+        for x in xs:
+            self.member(guess, x)
         violators = []
         for i in indices:
             for x in xs:

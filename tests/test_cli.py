@@ -12,7 +12,12 @@ from hypothesis import given, settings, strategies as st
 from limitlab import GameScenario, catalog, run_game, transcript_to_jsonl
 from limitlab.cli import _emit_run, main, parse_candidate_flag
 from limitlab.harness import TRANSCRIPT_CHUNK_ROWS, transcript_chunks
-from limitlab.languages import ConfigError, candidate_from_config, language_candidate
+from limitlab.languages import (
+    MAX_CANDIDATE_EDITS,
+    ConfigError,
+    candidate_from_config,
+    language_candidate,
+)
 
 CATALOG = catalog()
 
@@ -140,6 +145,30 @@ def test_run_validation_errors(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(["run", "--bogus-flag"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("edits", [MAX_CANDIDATE_EDITS, MAX_CANDIDATE_EDITS + 1])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_nested_edits_past_the_limit_exit_2(tmp_path, capsys, source, edits):
+    flag = "lang:3" + "+{5}-{6}" * (edits // 2) + "+{7}" * (edits % 2)
+    argv = ["run", "--collection", "multiples", "--target", "2", "--detector", "negex",
+            "--g", flag, "--horizon", "8", "--out", str(tmp_path), "--id", "deep"]
+    if source == "file":
+        config = {"scenario_id": "deep", "collection": "multiples", "target_index": 2,
+                  "candidate": parse_candidate_flag(flag), "algorithm": "negex", "horizon": 8}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        argv = ["run", "--scenario", str(path), "--out", str(tmp_path)]
+    code, _, err = run_cli(argv, capsys)
+    if edits <= MAX_CANDIDATE_EDITS:
+        assert code == 0, err
+        node = json.loads((tmp_path / "deep.report.json").read_text())["scenario"]["candidate"]
+        for _ in range(edits):
+            node = node["params"]["base"]
+        assert node == {"kind": "language_of", "params": {"collection": "multiples", "index": 3}}
+    else:
+        assert code == 2, err
+        assert err == f"error: candidate: more than {MAX_CANDIDATE_EDITS} nested edits\n"
 
 
 def test_run_inapplicable_exit_code(tmp_path, capsys):

@@ -372,39 +372,50 @@ def test_sweep_asks_a_run_of_positive_elements(xs):
 
 
 def test_member_and_sweep_share_rows():
-    ledger = QueryLedger()
-    oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_DETECTOR)
-    # asks (2, 1), (2, 2) and, for the x = 2 that L_2 holds, (3, 2)
-    assert oracle.sweep([2], 3, range(1, 7)) == [2]
-    assert sum(ledger.totals_by_purpose().values()) == 3
-    assert [oracle.member(2, 1), oracle.member(2, 2), oracle.member(3, 2)] == [False, True, False]
-    assert sum(ledger.totals_by_purpose().values()) == 3
-    assert [oracle.member(4, 4), oracle.member(6, 4)] == [True, False]
-    assert sum(ledger.totals_by_purpose().values()) == 5
-    # asks (4, 4), then (6, 4) for the guess: both first asked by member
-    assert oracle.sweep([4], 6, range(4, 5)) == [4]
-    assert sum(ledger.totals_by_purpose().values()) == 5
+    oracle, ledger, reference = detector_handles(catalog()["multiples"])
+
+    def ask(call, *args):
+        answers = [getattr(handle, call)(*args) for handle in (oracle, reference)]
+        assert answers[0] == answers[1], (call, args)
+        assert sum(ledger.totals_by_purpose().values()) == reference.fresh()
+        return answers[0]
+
+    # asks L_3 about 1..6, then (2, 1) and (2, 2): L_2 holds 2, L_3 does not
+    assert ask("sweep", [2], 3, range(1, 7)) == [2]
+    assert reference.fresh() == 8
+    assert [ask("member", 2, 1), ask("member", 2, 2), ask("member", 3, 2)] == [False, True, False]
+    assert reference.fresh() == 8
+    assert [ask("member", 4, 4), ask("member", 6, 4)] == [True, False]
+    assert reference.fresh() == 10
+    # asks (6, 4) for the guess, then (4, 4): both first asked by member
+    assert ask("sweep", [4], 6, range(4, 5)) == [4]
+    assert reference.fresh() == 10
 
 
 def test_sweep_asking_nothing_leaves_no_empty_row():
     collection = catalog()["multiples"]
     oracle, ledger, reference = detector_handles(collection)
     for handle in (oracle, reference):
-        assert handle.sweep([], 3, range(1, 5)) == []
+        assert handle.sweep([], 3, range(5, 5)) == []
         assert handle.sweep([2, 3], 4, range(5, 5)) == []
     assert sum(ledger.totals_by_purpose().values()) == 0 == reference.fresh()
     for handle in (oracle, reference):
         handle.member(3, 1)
-        assert handle.sweep([], 3, range(1, 5)) == []
+        assert handle.sweep([], 3, range(1, 5)) == []  # L_3 about 2..4, no index
+    assert sum(ledger.totals_by_purpose().values()) == 4 == reference.fresh()
     assert_same_asked_keys(oracle, ledger, reference, range(1, 6), range(1, 7))
-    # nor does any state outlive a sweep that asked nothing
+    # nor does any state outlive a sweep that asked nothing fresh
     guesses = range(10, 1010)
     for g in range(10, 1011):
         collection.language(g)
+    for g in guesses:
+        oracle.sweep([], g, range(1, 5))  # L_g's prefix 1..4
+    assert not oracle._above
     tracemalloc.start()
     try:
         for g in guesses:
             oracle.sweep([], g, range(1, 5))
+            oracle.sweep([g], g, range(2, 4))
             oracle.sweep([g, g + 1], g, range(5, 5))
         held, _ = tracemalloc.get_traced_memory()
     finally:
@@ -417,7 +428,7 @@ def test_keys_taken_into_the_prefix_leave_no_state_above_it():
     indices = range(10, 1010)
     for i in indices:
         collection.language(i)
-    oracle, ledger, _ = detector_handles(collection)
+    oracle, ledger, reference = detector_handles(collection)
     tracemalloc.start()
     try:
         for i in indices:
@@ -428,7 +439,11 @@ def test_keys_taken_into_the_prefix_leave_no_state_above_it():
         taken, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(ledger.totals_by_purpose().values()) == 3 * len(indices)
+    for i in indices:
+        reference.member(i, 3)
+        assert reference.sweep([i], 1, range(1, 4)) == []
+    # (1, 1..3) for the guess once, and (i, 1..3) for each index
+    assert sum(ledger.totals_by_purpose().values()) == 3 + 3 * len(indices) == reference.fresh()
     assert taken < above / 2, (taken, above)
 
 

@@ -1,6 +1,7 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitlab import (
     Collection,
@@ -14,7 +15,9 @@ from limitlab import (
     Strategy,
     catalog,
     run_game,
+    standard_strategies,
 )
+from limitlab.harness import STANDARD_SEEDS
 from limitlab.identifiers import (
     IDENTIFIERS,
     ConsistencyMinIdentifier,
@@ -225,6 +228,29 @@ def test_incremental_pool_agrees_with_fresh_copies(
         assert a == b  # bit-for-bit round dumps, verdict vectors included
     for purpose in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
         assert inc_ledger.per_step(purpose) == fresh_ledger.per_step(purpose), purpose
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(CATALOG)),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([s for seed in STANDARD_SEEDS for s in standard_strategies(seed)]),
+    st.sampled_from(sorted(IDENTIFIERS)),
+    st.integers(min_value=1, max_value=20),
+)
+def test_pool_bills_what_fresh_copies_bill(cid, k, strategy, identifier, horizon):
+    # A pool sweep asks L_guess about its whole run up front; the literal
+    # protocol asks those keys in the same round, so the ledgers agree.
+    collection = CATALOG[cid]
+    prefix = take(EnumerationStream(collection.language(k), strategy), horizon)
+    pooled, _, pooled_ledger, pooled_rounds = drive(collection, prefix, identifier=identifier)
+    fresh, _, fresh_ledger, fresh_rounds = drive(
+        collection, prefix, identifier=identifier, fresh_copies=True
+    )
+    assert pooled == fresh
+    assert pooled_rounds == fresh_rounds
+    for purpose in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
+        assert pooled_ledger.per_step(purpose) == fresh_ledger.per_step(purpose), purpose
 
 
 @pytest.mark.parametrize(
