@@ -428,8 +428,10 @@ def check_angluin(
     relations plus a strictness element of value at most bounds[1].
     An explicit tell-tale may hold elements up to MAX_TELLTALE_ELEMENT.
     """
+    if type(bounds) not in (tuple, list) or len(bounds) != 2:
+        raise ConfigError(f"bounds: expected a pair of integers, got {bounds!r}")
     index_bound, element_bound = bounds
-    if index_bound < 1 or element_bound < 1:
+    if check_kind("bounds", index_bound, int) < 1 or check_kind("bounds", element_bound, int) < 1:
         raise ConfigError("bounds: both the index and element bound must be >= 1")
     lang = collection.language(index)
     if telltale is None:

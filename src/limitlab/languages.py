@@ -730,6 +730,8 @@ class CandidateOracle:
         self._cache: Optional[dict[int, bool]] = {} if cached else None
 
     def member(self, x: int) -> bool:
+        if type(x) is not int:  # 2.0 would read key 2's cached answer, True key 1's
+            _check_element(x)
         cache = self._cache
         value = None if cache is None else cache.get(x)
         if value is None:

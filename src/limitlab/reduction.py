@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import filterfalse
 from typing import Optional
 
 from .detectors import ScanDetector
@@ -61,8 +62,8 @@ class ReductionIdentifier:
 
     A detector that reports itself inapplicable pins its index's verdict
     to 0 and is recorded in the round dumps rather than aborting the run.
-    A step keeps only its verdict list; ``last_round`` builds the dump on
-    read from it, the consistent indices and the inapplicable ones.
+    A round keeps only the indices whose detector says 0, in the pool
+    its guess's violated set; ``last_round`` builds the dump on read.
     """
 
     def __init__(
@@ -79,15 +80,15 @@ class ReductionIdentifier:
         self._fresh_copies = fresh_copies
         self.t = 0
         self._prefix: list[int] = []           # fresh copies replay it
-        self._pool = range(0)                  # live pooled indices, 1..t
+        self._pool = range(0)                  # 1..t while pooled; only bench/tracing.py reads it
         # the pool's one identifier; None under fresh copies or once it raised Inapplicable
         self._tape = None if fresh_copies else self._new_identifier()
         self._last_guessed: dict[int, int] = {}  # tape guess -> last step with it
         self._violated: dict[int, set[int]] = {}  # tape guess -> indices violated under it
         self._inapplicable: set[int] = set()
-        self._verdicts: list[int] = []         # the last round's, for index 1..t
+        self._says_0: set[int] | range = range(0)  # the last round's indices whose detector says 0
 
-    def _pool_verdicts(self, w: int) -> list[int]:
+    def _pool_says_0(self, w: int) -> set[int] | range:
         t = self.t
         sweep = self._oracle.sweep
         last_guessed, violated = self._last_guessed, self._violated
@@ -108,12 +109,12 @@ class ReductionIdentifier:
             self._inapplicable.update(self._pool)
             self._inapplicable.add(t)
             self._pool = range(0)
-            return [0] * t
+            return range(1, t + 1)
         self._pool = range(1, t + 1)
         bad = violated[guess]
-        clean = [i for i in range(1, t) if i not in bad]
-        bad.update(sweep(clean, guess, range(since + 1, t + 1)))
-        return [0 if i in bad else 1 for i in self._pool]
+        unviolated = filterfalse(bad.__contains__, range(1, t))
+        bad.update(sweep(unviolated, guess, range(since + 1, t + 1)))
+        return bad
 
     def _fresh_verdict(self, index: int) -> int:
         try:
@@ -134,24 +135,21 @@ class ReductionIdentifier:
         self._consistent.admit(t)
         if self._fresh_copies:
             self._prefix.append(w)
-            verdicts = [
-                0 if i in self._inapplicable else self._fresh_verdict(i)
-                for i in range(1, t + 1)
-            ]
+            self._says_0 = {i for i in range(1, t + 1)
+                            if i in self._inapplicable or not self._fresh_verdict(i)}
         else:
-            verdicts = self._pool_verdicts(w)
-        self._verdicts = verdicts
-        return next((i for i in self._consistent.alive if verdicts[i - 1] == 1), 1)
+            self._says_0 = self._pool_says_0(w)
+        return next(filterfalse(self._says_0.__contains__, self._consistent.alive), 1)
 
     @property
     def last_round(self) -> Optional[RoundState]:
         """The last completed round's state, None before the first step."""
         if not self.t:
             return None
-        verdicts = self._verdicts
         consistent = tuple(self._consistent.alive)
-        accepted = tuple(i for i in consistent if verdicts[i - 1] == 1)
+        accepted = tuple(filterfalse(self._says_0.__contains__, consistent))
+        verdicts = tuple(int(i not in self._says_0) for i in range(1, self.t + 1))
         return RoundState(
-            t=self.t, consistent=consistent, verdicts=tuple(verdicts), accepted=accepted,
+            t=self.t, consistent=consistent, verdicts=verdicts, accepted=accepted,
             guess=accepted[0] if accepted else 1, inapplicable=tuple(sorted(self._inapplicable)),
         )

@@ -423,6 +423,16 @@ def test_checker_full_domain_index_is_always_violated():
     assert replay_certificate(FINITE_PLUS_ALL, result)
 
 
+@pytest.mark.parametrize(
+    "bounds", [(64, 64.5), ("8", 8), (64,), (64, 64, 64), (True, 5), (5, False), 64, None],
+    ids=repr,
+)
+def test_checker_refuses_bounds_that_are_not_a_pair_of_ints(bounds):
+    # unchecked, (True, 5) would run and write "index": true into the certificate
+    with pytest.raises(ConfigError, match="^bounds: "):
+        check_angluin(FINITE_PLUS_ALL, 1, telltale=[1, 2, 3], bounds=bounds)
+
+
 def test_checker_prefix_telltales_are_exact():
     result = check_angluin(PREFIXES, 5)
     assert result.verdict == VERDICT_SATISFIED

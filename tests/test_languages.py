@@ -254,6 +254,20 @@ def test_collection_oracle_refuses_non_int_elements(element, cached):
     assert sum(ledger.totals_by_purpose().values()) == 2
 
 
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("element", [2.0, True, 2.5, "2", None], ids=repr)
+def test_candidate_oracle_refuses_non_int_elements(element, cached):
+    # Unchecked, a cached handle would answer 2.0 from key 2's entry without billing it.
+    ledger = QueryLedger()
+    ledger.begin_step(1)
+    oracle = CandidateOracle(language_candidate(MULTIPLES, 2), ledger, cached=cached)
+    assert oracle.member(2) is True
+    message = f"domain elements are positive integers, got {element!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        oracle.member(element)
+    assert ledger.per_step(PURPOSE_CANDIDATE) == [1]
+
+
 def detector_handles(collection):
     """A cached detector handle, its ledger, and the per-key reference beside it."""
     ledger = QueryLedger()
