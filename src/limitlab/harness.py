@@ -47,6 +47,7 @@ from .languages import (
     domain_candidate,
     empty_candidate,
     language_candidate,
+    language_subset,
     resolve_collection,
     union_candidate,
 )
@@ -399,7 +400,7 @@ def _strictness_element(
 ) -> Optional[int]:
     """First element of L_index outside L_witness with value <= element_bound."""
     lang = collection.language(index)
-    in_witness = collection.language(witness).member
+    in_witness = collection.uncached_language(witness).member
     m = lang.modulus
     for x in range(m, element_bound + 1, m) if m else lang.elements:
         if x > element_bound:
@@ -483,8 +484,8 @@ def replay_certificate(collection: Collection, result: AngluinCheckResult) -> bo
     i = result.index
     if j is None or result.strictness_element is None:
         return False
-    witness_lang = collection.language(j)
-    in_i, in_j = collection.language(i).member, witness_lang.member
+    lang, witness_lang = collection.language(i), collection.uncached_language(j)
+    in_i, in_j = lang.member, witness_lang.member
     if not all(map(in_j, result.telltale)):
         return False
     e = result.strictness_element
@@ -493,7 +494,7 @@ def replay_certificate(collection: Collection, result: AngluinCheckResult) -> bo
     if witness_lang.is_finite:
         return all(map(in_i, witness_lang.finite_elements()))
     # Infinite witness language: lean on exact relations, then spot-check.
-    if not collection.subset_of(j, i):
+    if not language_subset(witness_lang, lang):
         return False
     probe, _ = witness_lang.first_elements(32)
     return all(map(in_i, probe))

@@ -16,6 +16,7 @@ oracle handles at the bottom of this module, which count every fresh
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from math import gcd
@@ -115,7 +116,8 @@ class Language:
             raise ConfigError(f"domain elements are positive integers, got {x!r}")
         if self.modulus:
             return x % self.modulus == 0
-        return x in self._members
+        members = self._members  # a prefix {1..b} tests an int as x < b + 1, ~4x faster than ``in``
+        return x < members.stop if type(members) is range and type(x) is int else x in members
 
     @property
     def is_finite(self) -> bool:
@@ -158,9 +160,21 @@ class Language:
 
 def language_subset(a: Language, b: Language) -> bool:
     """Exact decision of a <= b using the closed language forms."""
+    if type(a._members) is range:
+        return not _outside_count(b, len(a.elements))
     if a.is_finite:
         return all(b.member(x) for x in a.elements)
     return not b.is_finite and a.modulus % b.modulus == 0
+
+
+def _outside_count(target: Language, n: int) -> int:
+    """How many of 1..n lie outside ``target``, in closed form."""
+    if target.modulus:
+        return n - n // target.modulus
+    members = target._members
+    if type(members) is range:
+        return max(0, n - len(members))
+    return n - bisect_right(target.elements, n)
 
 
 def language_equal(a: Language, b: Language) -> bool:
@@ -174,13 +188,18 @@ def language_equal(a: Language, b: Language) -> bool:
 class Collection:
     """A countably indexed family of languages with a membership oracle.
 
-    ``family(i)`` yields the i-th language for any index i >= 1. Each
-    language is built on first use, which also validates the index, and
-    kept in ``_language_cache``. ``subset_of(i, j)`` decides
-    L_i <= L_j and ``equals(i, j)`` decides L_i == L_j, both exactly and
-    from the languages' closed forms. ``telltale(i)`` yields a finite subset
-    of L_i that certifies it against proper subsets within the family,
-    or None when no such set is available for that index.
+    ``family(i)`` yields the i-th language for any index i >= 1.
+    ``language(i)`` validates the index, builds L_i on first use and keeps
+    it in ``_language_cache``, as ``member``, ``subset_of``, ``equals`` and
+    ``telltale`` do: games read their target, guesses and pooled indices
+    again and again. ``uncached_language(i)`` validates alike and returns
+    the kept L_i if there is one, but keeps nothing it builds: the checker
+    reads each witness that way, since no later check reads it again.
+    ``subset_of(i, j)`` decides L_i <= L_j and ``equals(i, j)`` decides
+    L_i == L_j, both exactly and from the languages' closed forms.
+    ``telltale(i)`` yields a finite subset of L_i that certifies it
+    against proper subsets within the family, or None when no such set
+    is available for that index.
 
     ``finite_telltale_violation(i, T)`` is the optional closed-form
     search used by the harness checker: it returns an index j with
@@ -207,13 +226,14 @@ class Collection:
         return f"Collection({self.id!r})"
 
     def language(self, i: int) -> Language:
+        kept = self._language_cache.get(i) if type(i) is int else None
+        return kept or self._language_cache.setdefault(i, self.uncached_language(i))
+
+    def uncached_language(self, i: int) -> Language:
+        """L_i as kept, or built and not kept, for a language read once."""
         if type(i) is not int or i < 1:
             raise _index_error(i)
-        lang = self._language_cache.get(i)
-        if lang is None:
-            lang = self._family(i)
-            self._language_cache[i] = lang
-        return lang
+        return self._language_cache.get(i) or self._family(i)
 
     def member(self, i: int, x: int) -> bool:
         """The membership oracle: x in L_i."""
@@ -241,14 +261,24 @@ def decode_finite_set(index: int) -> tuple[int, ...]:
     if index < 1:
         raise ConfigError("finite-set indices start at 1")
     out = []
-    bit = index
-    value = 1
-    while bit:
-        if bit & 1:
-            out.append(value)
-        bit >>= 1
-        value += 1
+    while index:  # one pass per set bit: the lowest one is element low.bit_length()
+        low = index & -index
+        out.append(low.bit_length())
+        index ^= low
     return tuple(out)
+
+
+_set_modulus, _set_elements, _set_members = (
+    Language.modulus.__set__, Language.elements.__set__, Language._members.__set__)
+
+
+def _decoded_language(index: int) -> Language:
+    """``Language(elements=decode_finite_set(index))``, past checks it passes by construction."""
+    lang, elements = object.__new__(Language), decode_finite_set(index)
+    _set_modulus(lang, 0)
+    _set_elements(lang, elements)
+    _set_members(lang, frozenset(elements))
+    return lang
 
 
 def encode_finite_set(elements: Iterable[int]) -> int:
@@ -315,7 +345,7 @@ def _finite_sets_violation(index: int, telltale: frozenset) -> Optional[int]:
 def _finite_sets_collection() -> Collection:
     return Collection(
         id="finite_sets",
-        family=lambda i: Language(elements=decode_finite_set(i)),
+        family=_decoded_language,
         telltale=decode_finite_set,
         finite_telltale_violation=_finite_sets_violation,
         description="L_i decodes the binary expansion of i as a characteristic vector",
@@ -324,9 +354,7 @@ def _finite_sets_collection() -> Collection:
 
 def _finite_plus_all_collection() -> Collection:
     def family(i: int) -> Language:
-        if i == 1:
-            return Language(modulus=1)
-        return Language(elements=decode_finite_set(i - 1))
+        return Language(modulus=1) if i == 1 else _decoded_language(i - 1)
 
     def telltale(i: int) -> Optional[tuple[int, ...]]:
         if i == 1:
@@ -488,6 +516,11 @@ def candidate_subset_of(candidate: CandidateSet, target: Language) -> bool:
         if not target.member(x):
             return False
     core = candidate.core
+    if type(core._members) is range:
+        # {1..n} minus a finite set: the minus must hold every element outside the target
+        n = len(core.elements)
+        outside = sum(x <= n and not target.member(x) for x in candidate.minus)
+        return outside == _outside_count(target, n)
     if core.is_finite:
         return all(
             target.member(x) for x in core.finite_elements() if x not in candidate.minus

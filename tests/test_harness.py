@@ -1,5 +1,7 @@
 import hashlib
 import json
+import time
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -22,6 +24,7 @@ from limitlab import (
     empty_candidate,
     identification_grid,
     language_candidate,
+    minus_candidate,
     replay_certificate,
     run_game,
     run_roundtrip,
@@ -80,6 +83,38 @@ def test_run_game_negex_witnessed():
     outcome = run_game(scenario, CATALOG)
     assert outcome.report.stabilized and outcome.report.t_star == 3
     assert outcome.report.final_output == 0
+
+
+BIG = 10**12
+
+
+@pytest.mark.parametrize("collection, target, minus, expected", [
+    ("multiples", 1, (), True),
+    ("multiples", 2, (), False),
+    ("multiples", 2, range(1, 12, 2), False),
+    ("finite_prefixes", BIG - 2, (), False),
+    ("finite_prefixes", BIG - 2, (BIG - 1, BIG), True),
+    ("finite_prefixes", BIG - 2, (5, BIG), False),
+])
+def test_ground_truth_over_a_huge_prefix_core_is_closed_form(
+    monkeypatch, collection, target, minus, expected
+):
+    # Walking the core {1..10^12} element by element would take hours:
+    # fail fast on a walk rather than hang.
+    member, calls = Language.member, []
+
+    def counted(lang, x):
+        calls.append(x)
+        assert len(calls) < 10_000, "the ground truth walks the candidate's core"
+        return member(lang, x)
+
+    monkeypatch.setattr(Language, "member", counted)
+    candidate = minus_candidate(language_candidate(PREFIXES, BIG), minus)
+    scenario = GameScenario("big", collection, target, "negex", candidate=candidate, horizon=5)
+    start = time.perf_counter()
+    outcome = run_game(scenario, CATALOG)
+    assert time.perf_counter() - start < 1
+    assert outcome.ground_truth_subset is expected
 
 
 def test_run_game_consistency_min_failure():
@@ -522,6 +557,31 @@ def test_certificates_replay_through_membership_only():
         result = check_angluin(FINITE_PLUS_ALL, 1, telltale=telltale, bounds=(64, 64))
         assert result.verdict == VERDICT_VIOLATION
         assert replay_certificate(FINITE_PLUS_ALL, result)
+
+
+def test_the_checker_keeps_no_witness_language():
+    # Each of these certificates has its own finite witness, ~860 B as a
+    # Language; no later check reads one again, so none may stay behind.
+    collection = catalog()["finite_plus_all"]
+    telltales = [t for size in range(5) for t in combinations(range(1, 21), size)]
+    assert len(telltales) == 6196
+
+    def check(telltale):
+        result = check_angluin(collection, 1, telltale=telltale, bounds=(64, 64))
+        assert result.verdict == VERDICT_VIOLATION, telltale
+        assert replay_certificate(collection, result), telltale
+
+    for telltale in combinations(range(21, 25), 2):  # warm up, on other witnesses
+        check(telltale)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for telltale in telltales:
+            check(telltale)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
 
 
 def test_forged_certificates_do_not_replay():

@@ -228,6 +228,29 @@ def test_collection_member_rejects_non_int_index(index, warm):
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("index", NON_INT_INDICES + [0, -1], ids=repr)
+def test_uncached_language_validates_like_language(index, warm):
+    collection = catalog()["multiples"]
+    if warm:
+        collection.language(1)
+    for read in (collection.language, collection.uncached_language):
+        with pytest.raises(ConfigError, match="language indices are positive integers"):
+            read(index)
+    assert list(collection._language_cache) == ([1] if warm else [])
+
+
+@pytest.mark.parametrize("collection", list(CATALOG.values()), ids=list(CATALOG))
+def test_uncached_language_reads_what_is_kept_and_keeps_nothing(collection):
+    fresh = catalog()[collection.id]
+    kept = fresh.language(3)
+    assert fresh.uncached_language(3) is kept
+    built = fresh.uncached_language(5)
+    assert built == fresh.uncached_language(5) == collection.language(5)
+    assert list(fresh._language_cache) == [3]
+    assert fresh.language(5) == built and list(fresh._language_cache) == [3, 5]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("index", NON_INT_INDICES, ids=repr)
 def test_collection_oracle_rejects_non_int_index(index, warm):
     ledger = QueryLedger()
@@ -237,6 +260,15 @@ def test_collection_oracle_rejects_non_int_index(index, warm):
     with pytest.raises(ConfigError):
         oracle.member(index, 5)
     assert sum(ledger.totals_by_purpose().values()) == warm
+
+
+def test_a_prefix_compares_only_int_elements():
+    # {1..b} answers an int x as x < b + 1; 2.5 < 5 must not make 2.5 a member.
+    prefix, finite = PREFIXES.language(4), FINITE_SETS.language(6)
+    everything = MULTIPLES.language(1)
+    assert [prefix.member(x) for x in (1, 4, 5, 10**30)] == [True, True, False, False]
+    assert [lang.member(2.5) for lang in (prefix, finite)] == [False, False]
+    assert [lang.member(2.0) for lang in (prefix, finite, everything)] == [True, True, True]
 
 
 @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
@@ -485,6 +517,25 @@ def test_finite_set_decode_against_brute_force():
         assert decode_finite_set(index) == brute_decode_finite_set(index)
 
 
+def _assert_matches_validated_constructor(lang: Language) -> None:
+    # Catalog families build finite sets past __post_init__'s checks.
+    checked = Language(modulus=lang.modulus, elements=lang.elements)
+    assert lang == checked and hash(lang) == hash(checked)
+    assert type(lang._members) is type(checked._members)
+    assert [lang.member(x) for x in range(1, 65)] == [checked.member(x) for x in range(1, 65)]
+
+
+@pytest.mark.parametrize("collection", list(CATALOG.values()), ids=list(CATALOG))
+def test_catalog_languages_match_the_validated_constructor(collection):
+    for i in range(1, 4097):
+        _assert_matches_validated_constructor(collection.uncached_language(i))
+
+
+@given(st.sampled_from(list(CATALOG)), st.integers(min_value=1, max_value=10**9))
+def test_catalog_languages_at_large_indices_match_the_validated_constructor(cid, index):
+    _assert_matches_validated_constructor(CATALOG[cid].uncached_language(index))
+
+
 def test_encoding_example_from_elements():
     index = encode_finite_set({2, 5})
     assert index == 18
@@ -640,6 +691,29 @@ def test_candidate_subset_decision_matches_exhaustive(candidate, cid, k):
         # Disagreement below 200 must come from a genuine escape above it.
         assert not candidate.core.is_finite
         assert not language_subset(candidate.core, target)
+
+
+_EDIT = st.tuples(st.booleans(), st.frozensets(st.integers(min_value=1, max_value=24), max_size=6))
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.lists(_EDIT, max_size=3),
+    st.sampled_from(list(CATALOG)),
+    st.integers(min_value=1, max_value=64),
+)
+def test_prefix_core_subset_decision_matches_enumeration(b, edits, cid, k):
+    # A {1..b} core is decided in closed form; every member lies in 1..max(b, 24).
+    candidate = language_candidate(PREFIXES, b)
+    for union, elements in edits:
+        candidate = (union_candidate if union else minus_candidate)(candidate, elements)
+    target = CATALOG[cid].language(k)
+    members = [x for x in range(1, max(b, 24) + 1) if candidate.member(x)]
+    assert candidate_subset_of(candidate, target) == all(map(target.member, members))
+    assert language_subset(PREFIXES.language(b), target) == all(
+        target.member(x) for x in range(1, b + 1)
+    )
 
 
 @settings(max_examples=120)
