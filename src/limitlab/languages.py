@@ -116,8 +116,7 @@ class Language:
             raise ConfigError(f"domain elements are positive integers, got {x!r}")
         if self.modulus:
             return x % self.modulus == 0
-        members = self._members  # a prefix {1..b} tests an int as x < b + 1, ~4x faster than ``in``
-        return x < members.stop if type(members) is range and type(x) is int else x in members
+        return x in self._members
 
     @property
     def is_finite(self) -> bool:

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import time
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations
@@ -111,9 +110,7 @@ def test_ground_truth_over_a_huge_prefix_core_is_closed_form(
     monkeypatch.setattr(Language, "member", counted)
     candidate = minus_candidate(language_candidate(PREFIXES, BIG), minus)
     scenario = GameScenario("big", collection, target, "negex", candidate=candidate, horizon=5)
-    start = time.perf_counter()
     outcome = run_game(scenario, CATALOG)
-    assert time.perf_counter() - start < 1
     assert outcome.ground_truth_subset is expected
 
 
