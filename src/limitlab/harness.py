@@ -395,12 +395,9 @@ class AngluinCheckResult:
         }
 
 
-def _strictness_element(
-    collection: Collection, index: int, witness: int, element_bound: int
-) -> Optional[int]:
-    """First element of L_index outside L_witness with value <= element_bound."""
-    lang = collection.language(index)
-    in_witness = collection.uncached_language(witness).member
+def _strictness_element(lang: Language, witness: Language, element_bound: int) -> Optional[int]:
+    """First element of ``lang`` outside ``witness`` with value <= element_bound."""
+    in_witness = witness.member
     m = lang.modulus
     for x in range(m, element_bound + 1, m) if m else lang.elements:
         if x > element_bound:
@@ -462,14 +459,15 @@ def check_angluin(
         witness = collection.finite_telltale_violation(index, frozenset(elements))
         if witness is None:
             return result(VERDICT_SATISFIED, method=method)
-        witnesses: Iterable[int] = (witness,)
+        witnesses: Iterable = ((witness, collection.uncached_language(witness)),)
     else:
         method = "bounded_search"
-        witnesses = (j for j in range(1, index_bound + 1)
-                     if all(collection.member(j, x) for x in elements)
-                     and _proper_subset(collection, j, index))
-    for j in witnesses:
-        strictness = _strictness_element(collection, index, j, element_bound)
+        searched = ((j, collection.uncached_language(j)) for j in range(1, index_bound + 1))
+        witnesses = ((j, lang_j) for j, lang_j in searched
+                     if all(map(lang_j.member, elements))
+                     and language_subset(lang_j, lang) and not language_subset(lang, lang_j))
+    for j, lang_j in witnesses:
+        strictness = _strictness_element(lang, lang_j, element_bound)
         if strictness is not None:
             return result(VERDICT_VIOLATION, method=method,
                           witness_index=j, strictness_element=strictness)

@@ -18,8 +18,8 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
-from math import gcd
+from itertools import chain, count, filterfalse, repeat
+from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
@@ -204,6 +204,7 @@ class Collection:
     search used by the harness checker: it returns an index j with
     T <= L_j and L_j a proper subset of L_i, or None after a universal
     argument that no such j exists anywhere in the family.
+    ``holders_below(x)``, optional, gives {i < x : x in L_i} in closed form.
     """
 
     def __init__(
@@ -213,11 +214,13 @@ class Collection:
         telltale: Callable[[int], Optional[tuple[int, ...]]],
         finite_telltale_violation: Optional[Callable[[int, frozenset], Optional[int]]] = None,
         description: str = "",
+        holders_below: Optional[Callable[[int], Iterable[int]]] = None,
     ) -> None:
         self.id = id
         self._family = family
         self._telltale = telltale
         self.finite_telltale_violation = finite_telltale_violation
+        self.holders_below = holders_below
         self.description = description
         self._language_cache: dict[int, Language] = {}
 
@@ -303,12 +306,17 @@ def _multiples_collection() -> Collection:
             g = gcd(g, x)
         return g if g > i else None
 
+    def holders_below(x: int) -> list[int]:  # the divisors of x below x, in O(sqrt(x))
+        small = [d for d in range(1, isqrt(x) + 1) if x % d == 0] if x > 1 else []
+        return small + [x // d for d in small if 1 < d < x // d]
+
     return Collection(
         id="multiples",
         family=lambda i: Language(modulus=i),
         telltale=lambda i: (i,),
         finite_telltale_violation=violation,
         description="L_i holds every multiple of i",
+        holders_below=holders_below,
     )
 
 
@@ -325,6 +333,7 @@ def _finite_prefixes_collection() -> Collection:
         telltale=lambda i: (i,),
         finite_telltale_violation=violation,
         description="L_i is the prefix {1..i}",
+        holders_below=lambda x: (),  # x in {1..i} needs i >= x
     )
 
 
@@ -348,6 +357,7 @@ def _finite_sets_collection() -> Collection:
         telltale=decode_finite_set,
         finite_telltale_violation=_finite_sets_violation,
         description="L_i decodes the binary expansion of i as a characteristic vector",
+        holders_below=lambda x: (),  # x in L_i needs bit x - 1 of i, so i >= 2**(x - 1) >= x
     )
 
 
@@ -374,6 +384,7 @@ def _finite_plus_all_collection() -> Collection:
         telltale=telltale,
         finite_telltale_violation=violation,
         description="L_1 is the whole domain; L_{i+1} is the i-th finite set",
+        holders_below=lambda x: (1,) if x > 1 else (),  # L_{i+1} holds x only if i >= x
     )
 
 
@@ -647,9 +658,15 @@ class CollectionOracle:
     detector handle can repeat a key: consistency sets and alg1's sweep
     ask each key once, so ``run_game`` builds theirs uncached. ``sweep``
     is alg2's pool scan: many indices asked about one run in one frame.
+
+    Under a watermark W (``share``), an index i <= W in neither ``_outside``
+    (the caller's set; it only grows) nor ``_exceptions`` has asked exactly
+    1..W: ``_ask`` makes it an exception at ``_upto[i] = W`` before marking
+    more, and ``advance`` asks all such indices about W + 1 in one count.
     """
 
-    __slots__ = ("collection", "_languages", "_ledger", "_purpose", "_upto", "_above")
+    __slots__ = ("collection", "_languages", "_ledger", "_purpose", "_upto", "_above",
+                 "_watermark", "_outside", "_exceptions")
 
     def __init__(self, collection: Collection, ledger: QueryLedger, purpose: str,
                  cached: bool = True) -> None:
@@ -661,6 +678,7 @@ class CollectionOracle:
         self._purpose = purpose
         self._upto: Optional[dict[int, int]] = {} if cached else None
         self._above: Optional[dict[int, set[int]]] = {} if cached else None
+        self._watermark, self._outside, self._exceptions = 0, set(), set()
 
     def member(self, i: int, x: int) -> bool:
         # True and 1.0 equal 1, 2.0 equals 2: unchecked, they would alias int keys.
@@ -675,6 +693,11 @@ class CollectionOracle:
 
     def _ask(self, i: int, first: int, last: int) -> int:
         """Mark the keys (i, first..last) asked; the number of them that were fresh."""
+        if i <= self._watermark and i not in self._exceptions and i not in self._outside:
+            if last <= self._watermark:  # a shared index has asked 1..W
+                return 0
+            self._upto[i] = self._watermark
+            self._exceptions.add(i)
         p = self._upto.get(i, 0)
         if last <= p or last < first:  # none above the prefix
             return 0
@@ -702,7 +725,7 @@ class CollectionOracle:
         one raises ConfigError. Pooled alg2's literal protocol asks those
         L_guess keys in the same round; ``ReductionIdentifier`` says why.
         """
-        upto, aboves, ask = self._upto, self._above, self._ask
+        upto, aboves, ask, shared_upto = self._upto, self._above, self._ask, self._watermark
         if upto is None:
             raise ConfigError("sweep repeats keys, so it needs a cached oracle handle")
         first = xs.start
@@ -734,7 +757,7 @@ class CollectionOracle:
                 # _ask's prefix move, inlined: a seed-0 reduction pass sweeps
                 # 292,407 index runs, and a call for each cost ~10% of its ops/s
                 p = upto.get(i, 0)
-                if first > p + 1 or i in aboves:
+                if first > p + 1 or i in aboves or i <= shared_upto:
                     fresh += ask(i, first, last)
                 elif last > p:
                     upto[i] = last
@@ -742,6 +765,33 @@ class CollectionOracle:
         finally:
             if fresh:
                 self._ledger.record(self._purpose, fresh)
+        return violators
+
+    def share(self, watermark: int, outside: set[int]) -> None:
+        """Write W into each shared index's ``_upto``, then share the indices up
+        to ``watermark`` outside ``outside``, none of whose ``_upto`` lies below it."""
+        w, unshared = self._watermark, self._outside | self._exceptions
+        self._upto.update(dict.fromkeys(filterfalse(unshared.__contains__, range(1, w + 1)), w))
+        self._watermark, self._outside = watermark, outside
+        self._exceptions = {i for i, p in self._upto.items() if p > watermark}.union(self._above)
+
+    def advance(self, guess: int, holders: Iterable[int]) -> list[int]:
+        """``sweep`` of the indices 1..W outside ``_outside`` under ``guess`` over {W + 1},
+        with ``holders`` from ``Collection.holders_below(W + 1)``; W then moves on."""
+        outside, exceptions, x = self._outside, self._exceptions, self._watermark + 1
+        fresh = self._ask(guess, x, x)
+        loose = [i for i in exceptions if i not in outside]
+        # outside lies in 1..x, the exceptions in 1..x-1: the rest is shared, and all fresh
+        fresh += x - 1 - len(outside) + (x in outside) - len(loose)
+        fresh += sum([self._ask(i, x, x) for i in loose])
+        in_guess = (self._languages.get(guess) or self.collection.language(guess)).member(x)
+        violators = [] if in_guess else [i for i in holders if i not in outside]
+        # a shared violator has asked 1..x; it leaves the shared set as outside grows
+        self._upto.update(dict.fromkeys(filterfalse(exceptions.__contains__, violators), x))
+        if x in self._above:
+            exceptions.add(x)
+        self._watermark = x
+        self._ledger.record(self._purpose, fresh)
         return violators
 
 

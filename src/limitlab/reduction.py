@@ -60,6 +60,11 @@ class ReductionIdentifier:
     quadratic protocol verbatim, with a ``ScanDetector`` and a private
     identifier per index, for differential testing.
 
+    With ``Collection.holders_below``, a round that keeps the last guess g
+    makes no pool sweep: the indices clean under g share the handle's
+    watermark t-1 (``share``), ``advance`` asks them about t in one count,
+    and the violators are their holders of t when t is not in L_g.
+
     A detector that reports itself inapplicable pins its index's verdict
     to 0 and is recorded in the round dumps rather than aborting the run.
     A round keeps only the indices whose detector says 0, in the pool
@@ -76,6 +81,7 @@ class ReductionIdentifier:
     ) -> None:
         self._new_identifier = partial(make_identifier, identifier, collection, detector_oracle)
         self._oracle = detector_oracle
+        self._holders = collection.holders_below
         self._consistent = ConsistentIndices(consistency_oracle)
         self._fresh_copies = fresh_copies
         self.t = 0
@@ -90,7 +96,7 @@ class ReductionIdentifier:
 
     def _pool_says_0(self, w: int) -> set[int] | range:
         t = self.t
-        sweep = self._oracle.sweep
+        oracle, holders = self._oracle, self._holders
         last_guessed, violated = self._last_guessed, self._violated
         if self._tape is not None:
             try:
@@ -103,7 +109,7 @@ class ReductionIdentifier:
                 violated.setdefault(guess, set())
         # Catch the new index up: one sweep per distinct guess so far.
         for g, last in last_guessed.items():
-            if sweep((t,), g, range(1, last + 1)):
+            if oracle.sweep((t,), g, range(1, last + 1)):
                 violated[g].add(t)
         if self._tape is None:
             self._inapplicable.update(self._pool)
@@ -112,8 +118,13 @@ class ReductionIdentifier:
             return range(1, t + 1)
         self._pool = range(1, t + 1)
         bad = violated[guess]
-        unviolated = filterfalse(bad.__contains__, range(1, t))
-        bad.update(sweep(unviolated, guess, range(since + 1, t + 1)))
+        if holders is not None and 0 < since == t - 1:  # the run is {t}
+            bad.update(oracle.advance(guess, holders(t)))
+        else:
+            unviolated = filterfalse(bad.__contains__, range(1, t))
+            bad.update(oracle.sweep(unviolated, guess, range(since + 1, t + 1)))
+            if holders is not None:
+                oracle.share(t, bad)
         return bad
 
     def _fresh_verdict(self, index: int) -> int:

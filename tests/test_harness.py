@@ -520,7 +520,8 @@ def test_strictness_element_matches_brute_force():
             for j in range(1, 65):
                 for bound in (1, 2, 7, 64, 512):
                     expected = brute_strictness_element(collection, i, j, bound)
-                    got = harness._strictness_element(collection, i, j, bound)
+                    got = harness._strictness_element(
+                        collection.language(i), collection.language(j), bound)
                     assert got == expected, (collection.id, i, j, bound)
 
 
@@ -579,6 +580,19 @@ def test_the_checker_keeps_no_witness_language():
     finally:
         tracemalloc.stop()
     assert grown < 64 * 1024
+
+
+def test_the_bounded_search_keeps_no_searched_language():
+    # Without a closed form the search reads L_1..L_20000; it used to keep
+    # every one of them in the collection's cache.
+    original = catalog()["finite_sets"]
+    collection = Collection(id="finite_sets_search", family=original.uncached_language,
+                            telltale=original.telltale)
+    collection.language(7)
+    before = dict(collection._language_cache)
+    result = check_angluin(collection, 7, bounds=(20000, 64))
+    assert (result.method, result.verdict) == ("bounded_search", VERDICT_INCONCLUSIVE)
+    assert collection._language_cache == before
 
 
 def test_forged_certificates_do_not_replay():

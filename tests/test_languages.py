@@ -527,6 +527,15 @@ def test_catalog_languages_at_large_indices_match_the_validated_constructor(cid,
     _assert_matches_validated_constructor(CATALOG[cid].uncached_language(index))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(CATALOG)), st.integers(min_value=1, max_value=2048))
+def test_holders_below_are_the_smaller_indices_holding_x(cid, x):
+    collection = CATALOG[cid]
+    holders = list(collection.holders_below(x))
+    assert len(holders) == len(set(holders))
+    assert set(holders) == {i for i in range(1, x) if collection.uncached_language(i).member(x)}
+
+
 def test_encoding_example_from_elements():
     index = encode_finite_set({2, 5})
     assert index == 18

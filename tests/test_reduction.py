@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import pytest
@@ -26,7 +27,12 @@ from limitlab.identifiers import (
 )
 from limitlab.languages import PURPOSE_CONSISTENCY, PURPOSE_DETECTOR
 
-from tests.oracles import sim_reduction_guesses, take
+from tests.oracles import (
+    AnswerCacheOracle,
+    assert_same_asked_keys,
+    sim_reduction_guesses,
+    take,
+)
 
 CATALOG = catalog()
 MULTIPLES = CATALOG["multiples"]
@@ -165,16 +171,23 @@ def test_pool_matches_fresh_detector_spot_check():
 
 
 def record_pool_paths(monkeypatch):
-    """Names of the rarer pool paths that sweeps take from now on.
+    """Names of the rarer pool paths that rounds take from now on.
 
     A catch-up sweeps just the round's new index, t; the round's pool
-    sweep never includes t.
+    sweep never includes t. A fast round asks the clean indices about t
+    through ``advance`` instead of a pool sweep; a watermark flush is a
+    pool sweep that ends a run of fast rounds, under their watermark.
     """
     taken = set()
-    sweep = CollectionOracle.sweep
+    sweep, advance = CollectionOracle.sweep, CollectionOracle.advance
+    last_round_fast = [False]
 
     def recording(oracle, indices, guess, xs):
         indices = list(indices)
+        if indices != [oracle._ledger.step]:
+            if last_round_fast[0] and oracle._watermark:
+                taken.add("watermark_flush")
+            last_round_fast[0] = False
         violators = sweep(oracle, indices, guess, xs)
         if indices == [oracle._ledger.step]:
             if violators:
@@ -184,31 +197,43 @@ def record_pool_paths(monkeypatch):
             taken.add("returning_guess")
         return violators
 
+    def recording_advance(oracle, guess, holders):
+        taken.add("fast_round")
+        last_round_fast[0] = True
+        return advance(oracle, guess, holders)
+
     monkeypatch.setattr(CollectionOracle, "sweep", recording)
+    monkeypatch.setattr(CollectionOracle, "advance", recording_advance)
     return taken
 
 
 @pytest.mark.parametrize(
     "cid,k,strategy,identifier,paths",
     [
-        ("multiples", 6, Strategy("canonical"), "telltale", {"catchup_violation"}),
-        ("multiples", 3, Strategy("repeat_heavy", seed=2), "telltale", {"catchup_violation"}),
+        # guesses 1 (five rounds), then 6: fast rounds under 1 end in a flush
+        ("multiples", 6, Strategy("canonical"), "telltale",
+         {"catchup_violation", "fast_round", "watermark_flush"}),
+        ("multiples", 3, Strategy("repeat_heavy", seed=2), "telltale",
+         {"catchup_violation", "fast_round", "watermark_flush"}),
+        # guesses 1, 2, 1, 4, 4, ...: fast rounds start once the guess settles
         ("finite_prefixes", 4, Strategy("block_shuffle", seed=5, block_growth=2), "telltale",
-         {"catchup_violation"}),
-        ("finite_sets", 5, Strategy("canonical"), "telltale", {"catchup_violation"}),
-        # a recorded Inapplicable, at step 1 and at step 3
+         {"catchup_violation", "fast_round"}),
+        ("finite_sets", 5, Strategy("canonical"), "telltale",
+         {"catchup_violation", "fast_round", "watermark_flush"}),
+        # a recorded Inapplicable, at step 1 and at step 3; gapped has no holders_below
         ("finite_plus_all", 3, Strategy("repeat_heavy", seed=3), "telltale", set()),
         ("gapped", 6, Strategy("canonical"), "telltale", set()),
-        ("multiples", 4, Strategy("repeat_heavy", seed=2), "consistency_min", set()),
+        ("multiples", 4, Strategy("repeat_heavy", seed=2), "consistency_min", {"fast_round"}),
         ("finite_prefixes", 3, Strategy("canonical"), "consistency_min",
-         {"catchup_violation"}),
+         {"catchup_violation", "fast_round"}),
         ("finite_plus_all", 2, Strategy("block_shuffle", seed=1, block_growth=2),
-         "consistency_min", set()),
-        # guesses 1, 2, 2, 2, 1, ...: guess 1 returns after three rounds away
+         "consistency_min", {"fast_round"}),
+        # guesses 1, 2, 2, 2, 1, ...: guess 1 returns after three rounds away,
+        # and its sweep follows a flush of the fast rounds under 2
         ("finite_sets", 6, Strategy("repeat_heavy", seed=2), "telltale",
-         {"returning_guess", "catchup_violation"}),
+         {"returning_guess", "catchup_violation", "fast_round", "watermark_flush"}),
         ("finite_sets", 6, Strategy("repeat_heavy", seed=2), "consistency_min",
-         {"returning_guess", "catchup_violation"}),
+         {"returning_guess", "catchup_violation", "fast_round", "watermark_flush"}),
     ],
 )
 def test_incremental_pool_agrees_with_fresh_copies(
@@ -220,7 +245,9 @@ def test_incremental_pool_agrees_with_fresh_copies(
         collection, prefix, identifier=identifier, fresh_copies=True
     )
     taken = record_pool_paths(monkeypatch)
-    incremental, _, inc_ledger, inc_rounds = drive(collection, prefix, identifier=identifier)
+    incremental, reduction, inc_ledger, inc_rounds = drive(
+        collection, prefix, identifier=identifier
+    )
     assert paths <= taken
     assert incremental == fresh
     assert len(inc_rounds) == len(fresh_rounds) == len(prefix)
@@ -228,6 +255,7 @@ def test_incremental_pool_agrees_with_fresh_copies(
         assert a == b  # bit-for-bit round dumps, verdict vectors included
     for purpose in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
         assert inc_ledger.per_step(purpose) == fresh_ledger.per_step(purpose), purpose
+    assert_asks_what_the_sweeps_ask(collection, prefix, identifier, reduction, inc_ledger)
 
 
 @settings(max_examples=300, deadline=None)
@@ -236,7 +264,7 @@ def test_incremental_pool_agrees_with_fresh_copies(
     st.integers(min_value=1, max_value=8),
     st.sampled_from([s for seed in STANDARD_SEEDS for s in standard_strategies(seed)]),
     st.sampled_from(sorted(IDENTIFIERS)),
-    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=1, max_value=40),
 )
 def test_pool_bills_what_fresh_copies_bill(cid, k, strategy, identifier, horizon):
     # A pool sweep asks L_guess about its whole run up front; the literal
@@ -251,6 +279,125 @@ def test_pool_bills_what_fresh_copies_bill(cid, k, strategy, identifier, horizon
     assert pooled_rounds == fresh_rounds
     for purpose in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
         assert pooled_ledger.per_step(purpose) == fresh_ledger.per_step(purpose), purpose
+
+
+def without_holders(collection):
+    """A copy of the collection whose pooled alg2 sweeps every round."""
+    stripped = copy.copy(collection)
+    stripped.holders_below = None
+    return stripped
+
+
+def assert_asks_what_the_sweeps_ask(collection, prefix, identifier, reduction, ledger):
+    """A per-key answer cache driven through pool sweeps alone bills the same
+    steps as ``reduction``'s detector handle, and holds the same keys i, x <=
+    len(prefix) + 2 as that handle, which may be left with a live watermark."""
+    reference_ledger = QueryLedger()
+    reference = AnswerCacheOracle(collection, reference_ledger, PURPOSE_DETECTOR)
+    literal = ReductionIdentifier(
+        without_holders(collection), identifier, reference,
+        CollectionOracle(collection, reference_ledger, PURPOSE_CONSISTENCY),
+    )
+    for t, w in enumerate(prefix, start=1):
+        reference_ledger.begin_step(t)
+        literal.step(w)
+    assert reference_ledger.per_step(PURPOSE_DETECTOR) == ledger.per_step(PURPOSE_DETECTOR)
+    keys = range(1, len(prefix) + 3)
+    assert_same_asked_keys(reduction._oracle, ledger, reference, keys, keys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(CATALOG)),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([s for seed in STANDARD_SEEDS for s in standard_strategies(seed)]),
+    st.sampled_from(sorted(IDENTIFIERS)),
+    st.integers(min_value=1, max_value=60),
+)
+def test_fast_rounds_ask_the_keys_the_pool_sweep_asks(cid, k, strategy, identifier, horizon):
+    collection = CATALOG[cid]
+    prefix = take(EnumerationStream(collection.language(k), strategy), horizon)
+    fast, reduction, ledger, rounds = drive(collection, prefix, identifier=identifier)
+    swept, _, swept_ledger, swept_rounds = drive(
+        without_holders(collection), prefix, identifier=identifier
+    )
+    assert fast == swept
+    assert rounds == swept_rounds
+    for purpose in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
+        assert ledger.per_step(purpose) == swept_ledger.per_step(purpose), purpose
+    assert_asks_what_the_sweeps_ask(collection, prefix, identifier, reduction, ledger)
+
+
+# L_1 = L_2 = everything, and index 1 waits for element 1 as its tell-tale.
+TWINS = Collection(
+    id="twins",
+    family=lambda i: Language(modulus=1 if i <= 2 else i),
+    telltale=lambda i: (1,) if i == 1 else () if i == 2 else (i,),
+    holders_below=lambda x: [i for i in range(1, x) if i <= 2 or x % i == 0],
+)
+# L_i = {1..i}, but L_2 is everything, and never guessed: its tell-tale never shows up.
+ALL_AT_2 = Collection(
+    id="all_at_2",
+    family=lambda i: Language(modulus=1) if i == 2 else Language(elements=range(1, i + 1)),
+    telltale=lambda i: (10**6,) if i == 2 else (i,),
+    holders_below=lambda x: (2,) if x > 2 else (),
+)
+
+
+@pytest.mark.parametrize(
+    "collection,prefix",
+    [
+        # Tape guesses 1, 2, 2, 1, 1, ...: element 1 admits index 1 in round 4,
+        # whose tell-tale check asks it about 4 and then 5, past the round. The
+        # sweep under the returning guess 1 leaves it asked up to 5, so sharing
+        # it at watermark 4 would bill its key 5 again in round 5.
+        (TWINS, [4, 5, 2, 1, 6, 3, 7, 8]),
+        # Tape guesses 1, 1, 3, 3, 3, 4, ...: index 2 holds 4 and violates guess 3
+        # in fast round 4, leaving the shared set asked up to 4. Guess 4 sweeps
+        # it again from 1, so a stale bound of 3 would bill its key 4 twice.
+        (ALL_AT_2, [1, 2, 3, 3, 3, 4, 4, 4, 5, 5]),
+        # Tape guesses 1, 2, 2, 2, 1, ...: index 3 is shared under guess 2 from
+        # round 3 and asked up to 4 by fast round 4, though its own bound says
+        # 3; the sweep under the returning guess 1 meets it.
+        (TWINS, [2, 5, 2, 2, 1, 1, 5]),
+        # Tape guesses 1, 1, 3, 3, 1, 1: index 2, violated under guess 1 in round
+        # 2, is shared under guess 3 and asked up to 4 by fast round 4. The
+        # returning guess 1 does not sweep it, so only the flush records key 4.
+        (PREFIXES, [2, 3, 3, 1, 7, 4]),
+    ],
+    ids=["asked_past_the_round", "violated_in_a_fast_round", "swept_while_shared",
+         "flushed_unswept"],
+)
+def test_watermark_corners_bill_what_fresh_copies_bill(collection, prefix):
+    fresh, _, fresh_ledger, fresh_rounds = drive(collection, prefix, fresh_copies=True)
+    pooled, reduction, ledger, rounds = drive(collection, prefix)
+    assert pooled == fresh
+    assert rounds == fresh_rounds
+    for purpose in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
+        assert ledger.per_step(purpose) == fresh_ledger.per_step(purpose), purpose
+    assert_asks_what_the_sweeps_ask(collection, prefix, "telltale", reduction, ledger)
+
+
+def test_rounds_that_keep_their_guess_sweep_no_pool(monkeypatch):
+    # Counted work, no clock: with the guess settled on 2, each round
+    # sweeps only its new index, once per distinct guess. A pool sweep
+    # every round passes 40,600 indices here.
+    swept = []
+    sweep = CollectionOracle.sweep
+
+    def counting(oracle, indices, guess, xs):
+        indices = list(indices)
+        swept.append(len(indices))
+        return sweep(oracle, indices, guess, xs)
+
+    monkeypatch.setattr(CollectionOracle, "sweep", counting)
+    horizon = 400
+    scenario = GameScenario("guard", "multiples", 2, "alg2", identifier="telltale",
+                            horizon=horizon)
+    outcome = run_game(scenario, catalog())
+    assert outcome.status == "ok"
+    assert outcome.ledger.totals_by_purpose()[PURPOSE_DETECTOR] == 120200
+    assert sum(swept) <= 3 * horizon, (sum(swept), len(swept))
 
 
 @pytest.mark.parametrize(
