@@ -16,7 +16,7 @@ oracle handles at the bottom of this module, which count every fresh
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, count, filterfalse, repeat
 from math import gcd, isqrt
@@ -78,7 +78,7 @@ class Language:
     ``modulus >= 1``: the multiples of ``modulus``; modulus 1 is the whole
     domain. ``modulus == 0``: the finite set ``elements``, sorted and
     distinct; the prefix {1..b} is kept as ``range(1, b + 1)``, which
-    answers ``in``, ``len`` and indexing in O(1).
+    answers ``in``, ``len``, indexing and ``within`` in O(1).
     """
 
     modulus: int = 0
@@ -117,6 +117,16 @@ class Language:
         if self.modulus:
             return x % self.modulus == 0
         return x in self._members
+
+    def within(self, first: int, last: int) -> Union[range, tuple[int, ...]]:
+        """The elements in [first, last], ascending, for ``first >= 1``."""
+        if self.modulus:
+            return range(-(-first // self.modulus) * self.modulus, last + 1, self.modulus)
+        members = self._members
+        if type(members) is range:
+            return range(first, min(last + 1, members.stop))
+        elements = self.elements
+        return elements[bisect_left(elements, first):bisect_right(elements, last)]
 
     @property
     def is_finite(self) -> bool:
@@ -160,20 +170,10 @@ class Language:
 def language_subset(a: Language, b: Language) -> bool:
     """Exact decision of a <= b using the closed language forms."""
     if type(a._members) is range:
-        return not _outside_count(b, len(a.elements))
+        return len(b.within(1, len(a.elements))) == len(a.elements)
     if a.is_finite:
         return all(b.member(x) for x in a.elements)
     return not b.is_finite and a.modulus % b.modulus == 0
-
-
-def _outside_count(target: Language, n: int) -> int:
-    """How many of 1..n lie outside ``target``, in closed form."""
-    if target.modulus:
-        return n - n // target.modulus
-    members = target._members
-    if type(members) is range:
-        return max(0, n - len(members))
-    return n - bisect_right(target.elements, n)
 
 
 def language_equal(a: Language, b: Language) -> bool:
@@ -530,7 +530,7 @@ def candidate_subset_of(candidate: CandidateSet, target: Language) -> bool:
         # {1..n} minus a finite set: the minus must hold every element outside the target
         n = len(core.elements)
         outside = sum(x <= n and not target.member(x) for x in candidate.minus)
-        return outside == _outside_count(target, n)
+        return outside == n - len(target.within(1, n))
     if core.is_finite:
         return all(
             target.member(x) for x in core.finite_elements() if x not in candidate.minus
@@ -652,7 +652,7 @@ class CollectionOracle:
     from the closed forms, so ``cached=True`` keeps only which keys were
     asked, as a frontier per index: (i, x) was iff x <= ``_upto[i]`` or x
     is in the set ``_above[i]``, whose keys all lie above that prefix.
-    ``_ask`` marks keys; only ``sweep`` inlines its prefix move.
+    ``_ask`` marks every key; ``share`` and ``advance`` move the watermark.
     Pooled alg2 asks each index a prefix and a few stream elements above
     it, so this grows linearly with the horizon. Only alg2's shared
     detector handle can repeat a key: consistency sets and alg1's sweep
@@ -709,8 +709,9 @@ class CollectionOracle:
             above.update(range(first, last + 1))
             return len(above) - n
         self._upto[i] = last
-        if n:
-            above.difference_update(range(p + 1, last + 1))  # the prefix takes the keys
+        if n:  # the prefix takes the keys: walk the run or ``above``, whichever is shorter
+            above.difference_update(
+                range(p + 1, last + 1) if last - p < n else [x for x in above if x <= last])
             if not above:
                 del self._above[i]
         return last - p - (n - len(above))
@@ -719,49 +720,38 @@ class CollectionOracle:
         """The indices i, in order, for which some x in ``xs`` is in L_i but not in L_guess.
 
         It asks L_guess about all of ``xs``, then asks each index about
-        ``xs`` in order up to the first x in L_i but not in L_guess. One
-        ledger call records the fresh queries. L_guess's keys repeat
-        across indices, so the sweep needs a cached handle: an uncached
-        one raises ConfigError. Pooled alg2's literal protocol asks those
-        L_guess keys in the same round; ``ReductionIdentifier`` says why.
+        ``xs`` up to the first x in L_i but not in L_guess, walking only
+        L_i's elements in ``xs``. One ledger call records the fresh
+        queries. L_guess's keys repeat across indices, so the sweep needs
+        a cached handle: an uncached one raises ConfigError. Pooled alg2's
+        literal protocol asks those L_guess keys in the same round;
+        ``ReductionIdentifier`` says why.
         """
-        upto, aboves, ask, shared_upto = self._upto, self._above, self._ask, self._watermark
-        if upto is None:
+        if self._upto is None:
             raise ConfigError("sweep repeats keys, so it needs a cached oracle handle")
-        first = xs.start
+        first, last = xs.start, xs.stop - 1
         if xs.step != 1 or first < 1:
             raise ConfigError(f"a sweep asks a run of positive elements, got {xs!r}")
-        languages, language = self._languages, self.collection.language
+        languages, language, ask = self._languages, self.collection.language, self._ask
         if type(guess) is not int:
             raise _index_error(guess)
         guess_lang = languages.get(guess) or language(guess)
         gmod, gmem = guess_lang.modulus, guess_lang._members
         gtop = gmem.stop if type(gmem) is range else 0
         violators = []
-        fresh = ask(guess, first, xs.stop - 1)
+        fresh = ask(guess, first, last)
         try:
             for i in indices:
                 if type(i) is not int:
                     raise _index_error(i)
-                lang = languages.get(i) or language(i)
-                # closed forms inlined, a prefix {1..b} as x < b + 1: most queries are here
-                modulus, members = lang.modulus, lang._members
-                top = members.stop if type(members) is range else 0
-                last = xs.stop - 1
-                for x in xs:
-                    if x % modulus == 0 if modulus else x < top if top else x in members:
-                        if not (x % gmod == 0 if gmod else x < gtop if gtop else x in gmem):
-                            violators.append(i)
-                            last = x
-                            break
-                # _ask's prefix move, inlined: a seed-0 reduction pass sweeps
-                # 292,407 index runs, and a call for each cost ~10% of its ops/s
-                p = upto.get(i, 0)
-                if first > p + 1 or i in aboves or i <= shared_upto:
-                    fresh += ask(i, first, last)
-                elif last > p:
-                    upto[i] = last
-                    fresh += last - p
+                stop = last
+                # L_guess's closed form inlined, a prefix {1..b} as x < b + 1
+                for x in (languages.get(i) or language(i)).within(first, last):
+                    if not (x % gmod == 0 if gmod else x < gtop if gtop else x in gmem):
+                        violators.append(i)
+                        stop = x
+                        break
+                fresh += ask(i, first, stop)
         finally:
             if fresh:
                 self._ledger.record(self._purpose, fresh)

@@ -134,6 +134,31 @@ def test_listing_is_ascending_and_cycles(form, n):
     assert list(islice(a.listing(), n)) == expected
 
 
+def _windows():
+    """(language, first, last) over every closed form: windows at most 200
+    wide, some empty (last = first - 1), prefix windows near their top b."""
+    width = st.integers(min_value=-1, max_value=199)
+    anywhere = st.integers(min_value=1, max_value=10**7)
+    multiples = st.tuples(
+        st.builds(Language, modulus=st.integers(min_value=1, max_value=10**6)), anywhere, width)
+    prefixes = st.integers(min_value=1, max_value=10**12).flatmap(lambda b: st.tuples(
+        st.just(Language(elements=range(1, b + 1))),
+        st.integers(min_value=max(1, b - 200), max_value=b + 200), width))
+    decoded = st.tuples(st.integers(min_value=1, max_value=2**70).map(
+        FINITE_SETS.uncached_language), st.integers(min_value=1, max_value=80), width)
+    empty = st.tuples(st.just(Language()), anywhere, width)
+    return st.one_of(multiples, prefixes, decoded, empty).map(
+        lambda drawn: (drawn[0], drawn[1], drawn[1] + drawn[2]))
+
+
+@settings(max_examples=400)
+@given(_windows())
+def test_within_matches_membership(window):
+    lang, first, last = window
+    assert list(lang.within(first, last)) == [
+        x for x in range(first, last + 1) if lang.member(x)]
+
+
 def test_listing_of_a_huge_prefix_is_lazy():
     tracemalloc.start()
     try:

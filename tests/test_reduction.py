@@ -400,6 +400,30 @@ def test_rounds_that_keep_their_guess_sweep_no_pool(monkeypatch):
     assert sum(swept) <= 3 * horizon, (sum(swept), len(swept))
 
 
+def test_catch_ups_walk_only_the_new_index_elements(monkeypatch):
+    # Counted work, no clock: a sweep walks only L_i's elements in its
+    # run, so each round's catch-up of index t passes the multiples of t
+    # up to the guess's last round. A walk over every x of each run
+    # passes about H^2/2 elements here.
+    walked = []
+    within = Language.within
+
+    def counting(lang, first, last):
+        window = within(lang, first, last)
+        walked.append(len(window))
+        return window
+
+    monkeypatch.setattr(Language, "within", counting)
+    horizon = 800
+    scenario = GameScenario("guard", "multiples", 2, "alg2", identifier="telltale",
+                            horizon=horizon)
+    outcome = run_game(scenario, catalog())
+    assert outcome.status == "ok"
+    assert outcome.ledger.totals_by_purpose()[PURPOSE_DETECTOR] == 480400
+    assert len(walked) >= horizon  # every round's catch-up goes through within
+    assert sum(walked) <= 2 * horizon, (sum(walked), len(walked))
+
+
 @pytest.mark.parametrize(
     "identifier_class", [TelltaleIdentifier, ConsistencyMinIdentifier]
 )
