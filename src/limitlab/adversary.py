@@ -6,7 +6,9 @@ target language in which every element eventually appears; a
 "is this element in the target?" to every emission. Four presentation
 orders are provided; the seeded ones draw from the stdlib Mersenne
 Twister so that a (strategy, seed, target) triple pins the sequence
-exactly, and the generator name is recorded in transcripts.
+exactly, and the generator name is recorded in transcripts. Seeds are >= 0
+(``random.Random`` seeds -s as s); draws use ``randrange``'s rejection rule
+on ``getrandbits``, so MT19937 output alone pins a stream.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .languages import ConfigError, Language, check_kind, check_taken, config_field
 
@@ -51,6 +53,8 @@ class Strategy:
             value = getattr(self, key)
             if type(value) is not int:  # plain ints skip the call
                 check_kind(key, value, int)
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.name == "repeat_heavy" and not 0 <= self.repeat_num < self.repeat_den:
             raise ConfigError("repeat_heavy needs 0 <= numerator < denominator")
         if self.name == "block_shuffle" and self.block_growth < 1:
@@ -121,19 +125,32 @@ def _presentation(language: Language, strategy: Strategy) -> Iterator[int]:
     return _repeat_heavy(source, rng, strategy.repeat_num, strategy.repeat_den)
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from 0..n-1, n >= 1: ``randrange(n)`` on CPython 3.10-3.13."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _block_shuffle(source: Iterator[int], rng: random.Random, growth: int) -> Iterator[int]:
+    below, bits = _below, rng.getrandbits
     for n in count(1):
         block = list(islice(source, growth * n))
-        rng.shuffle(block)
+        for i in range(len(block) - 1, 0, -1):  # ``shuffle``'s swaps
+            j = below(bits, i + 1)
+            block[i], block[j] = block[j], block[i]
         yield from block
 
 
 def _repeat_heavy(source: Iterator[int], rng: random.Random, num: int, den: int) -> Iterator[int]:
     seen_list: list[int] = []
     seen: set[int] = set()
+    below, bits = _below, rng.getrandbits
     while True:
-        if seen_list and rng.randrange(den) < num:
-            yield seen_list[rng.randrange(len(seen_list))]
+        if seen_list and below(bits, den) < num:
+            yield seen_list[below(bits, len(seen_list))]
             continue
         value = next(source)
         if value not in seen:
@@ -161,9 +178,9 @@ class LabeledStream:
     """Complete presentation of the whole domain, labeled against the target."""
 
     def __init__(self, target: Language, strategy: Strategy = Strategy()) -> None:
-        self.target = target
+        self._member = target.member
         self._next = _presentation(Language(modulus=1), strategy).__next__
 
     def next(self) -> tuple[int, int]:
         w = self._next()
-        return w, 1 if self.target.member(w) else 0
+        return w, 1 if self._member(w) else 0

@@ -25,10 +25,11 @@ class ConsistentIndices:
 
     ``alive`` lists the survivors in ascending order. ``admit`` vets an
     index against the seen elements once; ``see`` checks survivors only
-    against a newly seen element. Consistency is antitone in the seen
-    set, which only grows, so a dropped index never returns.
-    In round t the survivors lie below t and at most t elements have been
-    seen, so seeing w and admitting t cost at most (t-1) + t = 2t-1 queries.
+    against a newly seen element, in one ``CollectionOracle.holders`` call.
+    Consistency is antitone in the seen set, which only grows, so a dropped
+    index never returns. In round t the survivors lie below t and at most t
+    elements have been seen, so seeing w and admitting t cost at most
+    (t-1) + t = 2t-1 queries.
     """
 
     __slots__ = ("_oracle", "seen", "alive")
@@ -43,8 +44,7 @@ class ConsistentIndices:
         if w in self.seen:
             return False
         self.seen[w] = None
-        member = self._oracle.member
-        self.alive = [i for i in self.alive if member(i, w)]
+        self.alive = self._oracle.holders(self.alive, w)
         return True
 
     def admit(self, index: int) -> None:

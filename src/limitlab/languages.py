@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, count, filterfalse, repeat
 from math import gcd, isqrt
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class ConfigError(ValueError):
@@ -656,8 +656,9 @@ class CollectionOracle:
     Pooled alg2 asks each index a prefix and a few stream elements above
     it, so this grows linearly with the horizon. Only alg2's shared
     detector handle can repeat a key: consistency sets and alg1's sweep
-    ask each key once, so ``run_game`` builds theirs uncached. ``sweep``
-    is alg2's pool scan: many indices asked about one run in one frame.
+    ask each key once, so ``run_game`` builds theirs uncached. ``holders``
+    is a consistency filter: many indices asked about one element in one
+    call. ``sweep`` is alg2's pool scan: many indices asked about one run.
 
     Under a watermark W (``share``), an index i <= W in neither ``_outside``
     (the caller's set; it only grows) nor ``_exceptions`` has asked exactly
@@ -690,6 +691,23 @@ class CollectionOracle:
         if self._upto is None or self._ask(i, x, x):
             self._ledger.record(self._purpose)
         return value
+
+    def holders(self, indices: Sequence[int], x: int) -> list[int]:
+        """The indices, in order, whose language holds x: ``member(i, x)`` of
+        each, billed in one ledger call; a call that raises bills nothing."""
+        if type(x) is not int or x < 1:
+            _check_element(x)
+        languages, language, held = self._languages, self.collection.language, []
+        for i in indices:
+            if type(i) is not int:
+                raise _index_error(i)
+            if (languages.get(i) or language(i)).member(x):
+                held.append(i)
+        ask = self._ask
+        fresh = len(indices) if self._upto is None else sum([ask(i, x, x) for i in indices])
+        if fresh:
+            self._ledger.record(self._purpose, fresh)
+        return held
 
     def _ask(self, i: int, first: int, last: int) -> int:
         """Mark the keys (i, first..last) asked; the number of them that were fresh."""

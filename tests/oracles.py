@@ -12,7 +12,9 @@ stored answer per asked key.
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional, Sequence
+import random
+from itertools import count, islice
+from typing import Callable, Iterator, Optional, Sequence
 
 from limitlab import (
     CandidateSet,
@@ -22,6 +24,7 @@ from limitlab import (
     LabeledStream,
     Language,
     RunOutcome,
+    Strategy,
     candidate_subset_of,
     language_subset,
 )
@@ -69,6 +72,39 @@ def language_members_upto(language: Language, bound: int) -> set:
 def take(stream, n: int) -> list:
     """The stream's next n emissions, in order."""
     return [stream.next() for _ in range(n)]
+
+
+def reference_presentation(language: Language, strategy: Strategy) -> Iterator[int]:
+    """A seeded strategy's emissions, drawn through ``random.Random.randrange``
+    and ``random.Random.shuffle`` over the language's canonical listing."""
+    source, rng = language.listing(), random.Random(strategy.seed)
+    if strategy.name == "block_shuffle":
+        return reference_block_shuffle(source, rng, strategy.block_growth)
+    assert strategy.name == "repeat_heavy", strategy
+    return reference_repeat_heavy(source, rng, strategy.repeat_num, strategy.repeat_den)
+
+
+def reference_block_shuffle(source: Iterator[int], rng: random.Random, growth: int):
+    """Blocks of growth*1, growth*2, ... canonical elements, each ``shuffle``d."""
+    for n in count(1):
+        block = list(islice(source, growth * n))
+        rng.shuffle(block)
+        yield from block
+
+
+def reference_repeat_heavy(source: Iterator[int], rng: random.Random, num: int, den: int):
+    """With ``randrange(den) < num`` a ``randrange``-chosen seen element, else the next one."""
+    seen_list: list[int] = []
+    seen: set[int] = set()
+    while True:
+        if seen_list and rng.randrange(den) < num:
+            yield seen_list[rng.randrange(len(seen_list))]
+            continue
+        value = next(source)
+        if value not in seen:
+            seen.add(value)
+            seen_list.append(value)
+        yield value
 
 
 def rule_telltale_guesses(collection: Collection, prefix: Sequence[int]) -> list[int]:
@@ -207,20 +243,29 @@ class KeyRecordingOracle(CollectionOracle):
     """A ``CollectionOracle`` that fails on a repeated (index, element)
     key under an uncached handle. There every call is a fresh query, so
     a repeated key would count one membership answer twice; ``keys``
-    holds the keys an uncached handle was asked."""
+    holds the keys an uncached handle was asked through ``member`` or
+    ``holders``."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.uncached = self._upto is None
         self.keys: set[tuple[int, int]] = set()
 
-    def member(self, i: int, x: int) -> bool:
+    def _record(self, i: int, x: int) -> None:
         if self.uncached:
             key = (i, x)
             if key in self.keys:
                 raise AssertionError(f"uncached {self._purpose} handle asked {key} twice")
             self.keys.add(key)
+
+    def member(self, i: int, x: int) -> bool:
+        self._record(i, x)
         return super().member(i, x)
+
+    def holders(self, indices, x: int) -> list[int]:
+        for i in indices:
+            self._record(i, x)
+        return super().holders(indices, x)
 
 
 class AnswerCacheOracle:
@@ -228,8 +273,9 @@ class AnswerCacheOracle:
 
     Every asked (index, element) key is stored with its answer, in
     per-index rows; a key missing from its row is a fresh query, billed
-    under ``purpose``. ``sweep`` is the literal per-key ``member`` loop:
-    L_guess about every x in ``xs``, then each index in turn.
+    under ``purpose``. ``holders`` and ``sweep`` are the literal per-key
+    ``member`` loops; a sweep asks L_guess about every x in ``xs``, then
+    each index in turn.
     """
 
     def __init__(self, collection: Collection, ledger, purpose: str) -> None:
@@ -248,6 +294,9 @@ class AnswerCacheOracle:
 
     def fresh(self) -> int:
         return sum(self.ledger.totals_by_purpose().values())
+
+    def holders(self, indices, x: int) -> list[int]:
+        return [i for i in indices if self.member(i, x)]
 
     def sweep(self, indices, guess: int, xs: range) -> list[int]:
         for x in xs:

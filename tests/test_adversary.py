@@ -1,5 +1,7 @@
 import json
 import tracemalloc
+from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from limitlab import (
     catalog,
 )
 
-from tests.oracles import take
+from tests.oracles import reference_presentation, take
 
 CATALOG = catalog()
 MULTIPLES = CATALOG["multiples"]
@@ -136,6 +138,32 @@ def test_seed_determinism(seed, name, index):
     assert first == second
 
 
+# repeat_prob num/den: num 0; dens that are powers of two, that are not, and above 2^64
+REPEAT_PROBS = [(0, 2), (0, 7), (1, 2), (3, 4), (5, 64), (1, 3), (2, 7), (7, 10),
+                (1, 2**70), (2**64, 2**64 + 1), (3, 2**65 + 3)]
+SEEDED = [Strategy("repeat_heavy", repeat_num=num, repeat_den=den) for num, den in REPEAT_PROBS]
+SEEDED += [Strategy("block_shuffle", block_growth=growth) for growth in range(1, 8)]
+
+
+@pytest.mark.parametrize("strategy", SEEDED, ids=lambda s: json.dumps(s.to_config()["params"]))
+@pytest.mark.parametrize(
+    "target", [MULTIPLES.language(3), PREFIXES.language(4), CATALOG["finite_sets"].language(11)],
+    ids=["multiples3", "prefix4", "set11"],
+)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**80))
+def test_seeded_streams_match_randrange_and_shuffle(strategy, target, seed):
+    # The streams draw getrandbits under randrange's rejection rule; they must
+    # emit what randrange and shuffle would, on every Python the lab supports.
+    strategy = replace(strategy, seed=seed)
+    horizon = 2000
+    expected = list(islice(reference_presentation(target, strategy), horizon))
+    assert take(EnumerationStream(target, strategy), horizon) == expected
+    domain = list(islice(reference_presentation(Language(modulus=1), strategy), horizon))
+    labeled = take(LabeledStream(target, strategy), horizon)
+    assert labeled == [(w, int(target.member(w))) for w in domain]
+
+
 def test_strategy_validation():
     with pytest.raises(ConfigError):
         Strategy("repeat_heavy", repeat_num=2, repeat_den=2)
@@ -143,6 +171,16 @@ def test_strategy_validation():
         Strategy("block_shuffle", block_growth=0)
     with pytest.raises(ConfigError):
         Strategy("surprise")
+
+
+@pytest.mark.parametrize("name", ["canonical", "repeat_heavy", "block_shuffle", "delay_pattern"])
+def test_negative_seeds_are_refused(name):
+    # random.Random(-s) seeds like s: a negative seed would replay another run
+    with pytest.raises(ConfigError) as exc:
+        Strategy(name, seed=-3)
+    assert str(exc.value) == "seed: must be >= 0, got -3"
+    with pytest.raises(ConfigError):
+        Strategy.from_config({"strategy": name, "seed": -1})
 
 
 @pytest.mark.parametrize("name", ["canonical", "repeat_heavy", "block_shuffle", "delay_pattern"])

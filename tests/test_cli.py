@@ -390,6 +390,7 @@ BAD_FIELDS = [
     (("horizon",), 2.5),
     (("horizon",), True),
     (("adversary", "seed"), "x"),
+    (("adversary", "seed"), -3),  # random.Random(-3) would replay seed 3
     (("adversary", "params", "block_growth"), "2"),
     (("adversary", "params", "block_growth"), 1.5),
     (("adversary", "params", "block_growth"), 13),  # the horizon is 12
@@ -444,6 +445,8 @@ def test_malformed_scenario_files_exit_2(tmp_path, capsys, argv, text):
          "--telltale", "1000000"],
         ["run", "--collection", "multiples", "--target", "2", "--identifier", "telltale",
          "--strategy", "repeat_heavy", "--repeat-prob", "1/x"],
+        ["run", "--collection", "multiples", "--target", "2", "--identifier", "telltale",
+         "--strategy", "block_shuffle", "--seed", "-3", "--horizon", "5"],
         ["run", "--collection", "finite_prefixes", "--target", "9" * 20,
          "--identifier", "telltale", "--horizon", "5"],
         ["run", "--collection", "multiples", "--target", "2", "--detector", "negex"],

@@ -17,6 +17,7 @@ from limitlab import (
     run_game,
 )
 from limitlab.harness import identification_grid
+from limitlab.identifiers import ConsistentIndices
 from limitlab.languages import PURPOSE_CONSISTENCY, PURPOSE_DETECTOR
 
 from tests.oracles import rule_consistency_guesses, rule_telltale_guesses, take
@@ -238,3 +239,28 @@ def test_stabilization_grid_telltale_identifier():
         assert collection.equals(report.final_output, scenario.target_index)
         # injective encodings: equality of languages is equality of indices
         assert report.final_output == scenario.target_index
+
+
+def test_seeing_an_element_asks_the_survivors_in_one_call(monkeypatch):
+    # consistency_min on {1..5} at H=1000: every survivor is asked about each
+    # new element, through one ``holders`` call and no per-index ``member`` call.
+    see, member = ConsistentIndices.see, CollectionOracle.member
+    inside_see, member_calls_in_see = [False], [0]
+
+    def counting_see(self, w):
+        inside_see[0] = True
+        try:
+            return see(self, w)
+        finally:
+            inside_see[0] = False
+
+    def counting_member(self, i, x):
+        member_calls_in_see[0] += inside_see[0]
+        return member(self, i, x)
+
+    monkeypatch.setattr(ConsistentIndices, "see", counting_see)
+    monkeypatch.setattr(CollectionOracle, "member", counting_member)
+    scenario = GameScenario("see-guard", "finite_prefixes", 5, "consistency_min", horizon=1000)
+    outcome = run_game(scenario, CATALOG)
+    assert outcome.ledger.totals_by_purpose()[PURPOSE_CONSISTENCY] > 1000
+    assert member_calls_in_see[0] == 0

@@ -380,6 +380,8 @@ _ELEMENTS = st.one_of(st.integers(min_value=1, max_value=30),
 _ORACLE_CALLS = st.lists(
     st.one_of(
         st.tuples(st.just("member"), st.integers(min_value=1, max_value=8), _ELEMENTS),
+        st.tuples(st.just("holders"), st.lists(st.integers(min_value=1, max_value=8), max_size=6),
+                  _ELEMENTS),
         # a guess below 0 picks one of the indices, when there are any
         st.tuples(st.just("sweep"), st.lists(st.integers(min_value=1, max_value=8), max_size=6),
                   st.integers(min_value=-3, max_value=8), _ELEMENTS,
@@ -401,6 +403,10 @@ def test_member_and_sweep_sequences_match_the_per_key_cache(cid, calls):
             _, i, x = call
             elements.add(x)
             assert oracle.member(i, x) == reference.member(i, x)
+        elif call[0] == "holders":
+            _, indices, x = call
+            elements.add(x)
+            assert oracle.holders(indices, x) == reference.holders(indices, x)
         else:
             _, indices, guess, start, length = call
             if guess < 1:
@@ -522,6 +528,36 @@ def test_sweep_records_its_fresh_queries_in_one_call(monkeypatch):
     # asked: (2, 1..4) less the warm (2, 2), then (3, 1..3)
     assert calls == [(ledger, PURPOSE_DETECTOR, 6)]
     assert ledger.per_step(PURPOSE_DETECTOR)[0] == 1 + 6
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(sorted(CATALOG)), st.lists(_SWEEP_INDICES, unique=True, max_size=12),
+       _ELEMENTS)
+def test_uncached_holders_bill_every_index_in_one_call(cid, indices, x):
+    collection = CATALOG[cid]
+    ledger = QueryLedger()
+    oracle = CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY, cached=False)
+    ledger.begin_step(1)
+    record, calls = QueryLedger.record, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QueryLedger, "record", lambda *args: calls.append(args) or record(*args))
+        held = oracle.holders(indices, x)
+    assert held == [i for i in indices if collection.member(i, x)]
+    assert calls == ([(ledger, PURPOSE_CONSISTENCY, len(indices))] if indices else [])
+    assert ledger.per_step(PURPOSE_CONSISTENCY) == [len(indices)]
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("bad", NON_INT_INDICES, ids=repr)
+def test_holders_refuse_what_member_refuses_and_bill_nothing(cached, bad):
+    ledger = QueryLedger()
+    oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_CONSISTENCY, cached=cached)
+    for indices, x in (([2, bad], 4), ([2, 3], bad), ([2, 3], 0)):
+        with pytest.raises(ConfigError):
+            oracle.member(indices[-1], x)
+        with pytest.raises(ConfigError):
+            oracle.holders(indices, x)
+    assert ledger.totals_by_purpose()[PURPOSE_CONSISTENCY] == 0
 
 
 # ---------------------------------------------------------------------------
