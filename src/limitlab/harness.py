@@ -34,7 +34,6 @@ from .languages import (
     Language,
     PURPOSE_CONSISTENCY,
     PURPOSE_DETECTOR,
-    PURPOSES,
     QueryLedger,
     _element_tuple,
     candidate_from_config,
@@ -135,11 +134,13 @@ def _report_fields(report: Optional[StabilizationReport]) -> dict:
 
 @dataclass
 class RunOutcome:
+    """One run: the transcript keeps each completed step's counts, ``queries`` the totals."""
+
     scenario: GameScenario
     status: str  # "ok" | "inapplicable"
     transcript: Transcript
     report: Optional[StabilizationReport]
-    ledger: QueryLedger
+    queries: dict[str, int]  # per purpose, queries before step 1 and in an interrupted step too
     ground_truth_subset: Optional[bool] = None  # detection games only
     detail: Optional[str] = None
 
@@ -237,7 +238,6 @@ def run_game(
         else:
             algorithm = make_identifier(alg, collection, consistency)
 
-    # Columns hold completed steps; an interrupted step's queries stay in the totals.
     next_item, step, begin_step = stream.next, algorithm.step, ledger.begin_step
     items: list = []
     outputs: list[int] = []
@@ -256,7 +256,8 @@ def run_game(
         ws, ys = [w for w, _ in items], [y for _, y in items]
     else:
         ws, ys = items, None
-    counts = [ledger.per_step(p)[:len(outputs)] for p in PURPOSES]
+    queries = ledger.totals_by_purpose()
+    counts = ledger.take(len(outputs))
     final_state = algorithm.last_round if alg == "alg2" else None
     transcript = Transcript(_scenario_fields(scenario, rng_algorithm=RNG_ALGORITHM),
                             range(1, len(outputs) + 1), ws, ys, outputs, *counts, final_state)
@@ -274,7 +275,7 @@ def run_game(
         status=status,
         transcript=transcript,
         report=report,
-        ledger=ledger,
+        queries=queries,
         ground_truth_subset=ground_truth,
         detail=detail,
     )
@@ -326,8 +327,7 @@ def _sweep_row(
               "status": status, "detail": detail}
     if outcome is not None:
         values.update(_report_fields(outcome.report))
-        for purpose, total in outcome.ledger.totals_by_purpose().items():
-            values[f"{purpose}_queries"] = total
+        values.update({f"{purpose}_queries": n for purpose, n in outcome.queries.items()})
     return {column: _csv_cell(values.get(column)) for column in SWEEP_COLUMNS}
 
 
@@ -797,5 +797,5 @@ def report_to_dict(outcome: RunOutcome) -> dict:
         "rng_algorithm": RNG_ALGORITHM,
         "ground_truth_subset": outcome.ground_truth_subset,
         **_report_fields(outcome.report),
-        "queries": outcome.ledger.totals_by_purpose(),
+        "queries": dict(outcome.queries),
     }

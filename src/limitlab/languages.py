@@ -609,13 +609,13 @@ class QueryLedger:
     """Per-step counters of fresh oracle queries, one flat list per purpose.
 
     ``_counts[purpose][t]`` counts the fresh queries made for that purpose
-    during step t, and index 0 those made before the first step. Each
-    list holds ``step + 1`` entries: ``begin_step`` appends a zero to
-    every list. The purposes are ``PURPOSES``. Every fresh query through
-    a handle increments exactly one counter; counters never decrease.
-    ``per_step`` reads steps 1..step; ``totals_by_purpose`` sums each
-    list, index 0 included. ``begin_step`` must walk the step counter
-    forward one game step at a time.
+    (one of ``PURPOSES``) during step t, and index 0 those made before the
+    first step. ``begin_step`` appends a zero to every list, one game step
+    at a time. Every fresh query through a handle increments exactly one
+    counter; counters never decrease. ``per_step`` reads steps 1..step;
+    ``totals_by_purpose`` sums each list, index 0 included. ``take`` hands
+    the lists over as a transcript's count columns, so a run keeps each
+    step's counts once.
     """
 
     __slots__ = ("step", "_counts", "_candidate", "_consistency", "_detector")
@@ -643,6 +643,12 @@ class QueryLedger:
 
     def totals_by_purpose(self) -> dict[str, int]:
         return {p: sum(counts) for p, counts in self._counts.items()}
+
+    def take(self, steps: int) -> list[list[int]]:
+        """Steps 1..steps' counts in ``PURPOSES`` order: the ledger's own lists, cut in place."""
+        for counts in self._counts.values():
+            del counts[steps + 1:], counts[0]
+        return list(self._counts.values())
 
 
 class CollectionOracle:

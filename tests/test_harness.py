@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -9,9 +11,13 @@ import pytest
 from limitlab import (
     Collection,
     ConfigError,
+    EnumerationStream,
     GameScenario,
     Inapplicable,
+    LabeledStream,
     Language,
+    QueryLedger,
+    StepRecord,
     Strategy,
     Transcript,
     analyze_stabilization,
@@ -25,6 +31,7 @@ from limitlab import (
     language_candidate,
     minus_candidate,
     replay_certificate,
+    report_to_dict,
     run_game,
     run_roundtrip,
     run_sweep,
@@ -783,37 +790,142 @@ LEDGER_ROW_CASES = [
 ]
 
 
+COUNT_COLUMNS = ("fresh_candidate", "fresh_consistency", "fresh_detector")
+
+
+class LoggingLedger(QueryLedger):
+    """A ``QueryLedger`` that also logs each record call as (step, purpose, n)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log: list[tuple[int, str, int]] = []
+
+    def record(self, purpose: str, n: int = 1) -> None:
+        self.log.append((self.step, purpose, n))
+        super().record(purpose, n)
+
+
 @pytest.mark.parametrize("scenario", LEDGER_ROW_CASES, ids=lambda s: s.scenario_id)
-def test_rows_match_the_ledger(scenario):
+def test_rows_match_the_ledger(monkeypatch, scenario):
+    ledgers: list[LoggingLedger] = []
+
+    def logging_ledger():
+        ledgers.append(LoggingLedger())
+        return ledgers[-1]
+
+    monkeypatch.setattr(harness, "QueryLedger", logging_ledger)
     outcome = run_game(scenario, dict(CATALOG, gapped=GAPPED))
+    (ledger,) = ledgers
     rows = outcome.transcript.rows
-    ledger = outcome.ledger
     interrupted = scenario.collection_id == "gapped"
     assert outcome.status == ("inapplicable" if interrupted else "ok")
     completed = 2 if interrupted else scenario.horizon
     assert len(rows) == completed
     assert [row.t for row in rows] == list(range(1, completed + 1))
-    for row in rows:
-        assert row.fresh_candidate == ledger.per_step(PURPOSE_CANDIDATE)[row.t - 1]
-        assert row.fresh_consistency == ledger.per_step(PURPOSE_CONSISTENCY)[row.t - 1]
-        assert row.fresh_detector == ledger.per_step(PURPOSE_DETECTOR)[row.t - 1]
+    for name in COUNT_COLUMNS:
+        assert len(getattr(outcome.transcript, name)) == completed, name
     assert ledger.step == completed + interrupted
-    # Queries before step 1 and in the interrupted step are in no row.
+    outside = {}
     for purpose, field in (
         (PURPOSE_CANDIDATE, "fresh_candidate"),
         (PURPOSE_CONSISTENCY, "fresh_consistency"),
         (PURPOSE_DETECTOR, "fresh_detector"),
     ):
-        in_rows = sum(getattr(row, field) for row in rows)
-        steps = ledger.per_step(purpose)
-        total = ledger.totals_by_purpose()[purpose]
-        outside = total - sum(steps) + sum(steps[completed:completed + 1])
-        assert total == in_rows + outside
+        by_step = Counter()
+        for t, logged, n in ledger.log:
+            if logged == purpose:
+                by_step[t] += n
+        in_rows = [getattr(row, field) for row in rows]
+        assert in_rows == [by_step[t] for t in range(1, completed + 1)]
+        # Queries before step 1 and in the interrupted step are in no row.
+        outside[purpose] = sum(n for t, n in by_step.items() if not 1 <= t <= completed)
+        assert sum(in_rows) + outside[purpose] == outcome.queries[purpose]
     if interrupted:
-        assert ledger.totals_by_purpose() == {
+        assert outcome.queries == {
             PURPOSE_CANDIDATE: 2, PURPOSE_CONSISTENCY: 3, PURPOSE_DETECTOR: 1,
         }
-        assert ledger.per_step(PURPOSE_CONSISTENCY)[2] == 1
+        assert outside == {PURPOSE_CANDIDATE: 0, PURPOSE_CONSISTENCY: 1, PURPOSE_DETECTOR: 0}
+
+
+COLUMN_CASES = [
+    GameScenario("columns-negex", "multiples", 2, "negex",
+                 candidate=language_candidate(MULTIPLES, 3), horizon=30),
+    GameScenario("columns-alg1", "multiples", 4, "alg1", identifier="telltale",
+                 candidate=language_candidate(MULTIPLES, 2), horizon=30),
+    GameScenario("columns-telltale", "multiples", 6, "telltale", horizon=30),
+    GameScenario("columns-consistency_min", "finite_prefixes", 3, "consistency_min",
+                 horizon=30),
+    GameScenario("columns-alg2", "multiples", 4, "alg2", identifier="telltale", horizon=30),
+    GameScenario("columns-alg2-fresh", "multiples", 4, "alg2", identifier="consistency_min",
+                 fresh_copies=True, horizon=12),
+]
+
+
+def giving_out_at(next_item, stop):
+    """A stream step that raises Inapplicable on its ``stop``-th call."""
+    calls = [0]
+
+    def wrapped(stream):
+        calls[0] += 1
+        if calls[0] == stop:
+            raise Inapplicable("the stream gives out")
+        return next_item(stream)
+    return wrapped
+
+
+@pytest.mark.parametrize("stop", [None, 1, 7], ids=["completed", "stop1", "stop7"])
+@pytest.mark.parametrize("scenario", COLUMN_CASES, ids=lambda s: s.scenario_id)
+def test_count_columns_hold_exactly_the_completed_steps(monkeypatch, scenario, stop):
+    # Transcript.rows and transcript_chunks stop at the shortest column,
+    # so a column one entry too long or too short shows only here. The
+    # stream giving out interrupts a step that begin_step has opened.
+    if stop is not None:
+        for stream in (EnumerationStream, LabeledStream):
+            monkeypatch.setattr(stream, "next", giving_out_at(stream.next, stop))
+    outcome = run_game(scenario, CATALOG)
+    transcript = outcome.transcript
+    assert len(transcript.output) == (scenario.horizon if stop is None else stop - 1)
+    for name in COUNT_COLUMNS:
+        assert len(getattr(transcript, name)) == len(transcript.output), name
+
+
+ONE_STORE_HORIZON = 300
+
+
+@pytest.mark.parametrize("scenario", [
+    GameScenario("store-negex", "multiples", 2, "negex",
+                 candidate=language_candidate(MULTIPLES, 3), horizon=ONE_STORE_HORIZON),
+    GameScenario("store-alg1", "multiples", 2, "alg1", identifier="telltale",
+                 candidate=language_candidate(MULTIPLES, 4), horizon=ONE_STORE_HORIZON),
+    GameScenario("store-telltale", "multiples", 2, "telltale", horizon=ONE_STORE_HORIZON),
+    GameScenario("store-alg2", "multiples", 2, "alg2", identifier="telltale",
+                 horizon=ONE_STORE_HORIZON),
+], ids=lambda s: s.scenario_id)
+def test_a_run_keeps_each_step_column_once(scenario):
+    outcome = run_game(scenario, CATALOG)
+    transcript = outcome.transcript
+    columns = {id(c) for c in (getattr(transcript, f) for f in StepRecord._fields)
+               if isinstance(c, list)}
+    # Classes are skipped: through them every module's globals are reachable.
+    long_lists, seen, todo = set(), set(), [outcome]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, list) and len(obj) >= scenario.horizon:
+            long_lists.add(id(obj))
+        todo.extend(gc.get_referents(obj))
+    assert long_lists == columns
+
+
+def test_report_queries_are_a_copy():
+    outcome = run_game(GameScenario("copy", "multiples", 2, "telltale", horizon=20), CATALOG)
+    queries = dict(outcome.queries)
+    report = report_to_dict(outcome)
+    report["queries"][PURPOSE_CONSISTENCY] += 1
+    assert outcome.queries == queries
+    assert report_to_dict(outcome)["queries"] == queries
 
 
 KEY_GUARD_HORIZON = 60
@@ -854,6 +966,6 @@ def test_uncached_handles_never_repeat_a_key(monkeypatch, name):
         }
         for handle in built:
             if handle.uncached:
-                assert outcome.ledger.totals_by_purpose()[handle._purpose] == len(handle.keys)
+                assert outcome.queries[handle._purpose] == len(handle.keys)
                 guarded += len(handle.keys)
     assert (guarded > 0) == (name != "negex")  # negex asks the collection nothing

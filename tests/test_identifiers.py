@@ -262,5 +262,5 @@ def test_seeing_an_element_asks_the_survivors_in_one_call(monkeypatch):
     monkeypatch.setattr(CollectionOracle, "member", counting_member)
     scenario = GameScenario("see-guard", "finite_prefixes", 5, "consistency_min", horizon=1000)
     outcome = run_game(scenario, CATALOG)
-    assert outcome.ledger.totals_by_purpose()[PURPOSE_CONSISTENCY] > 1000
+    assert outcome.queries[PURPOSE_CONSISTENCY] > 1000
     assert member_calls_in_see[0] == 0

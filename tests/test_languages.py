@@ -871,6 +871,22 @@ def test_ledger_completeness(plan):
     assert sum(ledger.totals_by_purpose().values()) == made
 
 
+@pytest.mark.parametrize("cut", [0, 3, 4])
+def test_ledger_take_hands_over_steps_up_to_the_cut(cut):
+    ledger = QueryLedger()
+    ledger.record(PURPOSE_CONSISTENCY, 2)  # before step 1
+    for t, n in enumerate([1, 0, 3, 5], start=1):
+        ledger.begin_step(t)
+        ledger.record(PURPOSE_DETECTOR, n)
+        ledger.record(PURPOSE_CANDIDATE)
+    totals = ledger.totals_by_purpose()
+    columns = dict(zip(PURPOSES, ledger.take(cut)))
+    # Step 0 and every step past the cut count in the totals, in no column.
+    assert totals == {PURPOSE_CANDIDATE: 4, PURPOSE_CONSISTENCY: 2, PURPOSE_DETECTOR: 9}
+    assert columns == {PURPOSE_CANDIDATE: [1] * cut, PURPOSE_CONSISTENCY: [0] * cut,
+                       PURPOSE_DETECTOR: [1, 0, 3, 5][:cut]}
+
+
 def test_ledger_steps_advance_one_at_a_time():
     ledger = QueryLedger()
     ledger.begin_step(1)

@@ -134,7 +134,7 @@ def traced_alg2_peak(horizon):
     finally:
         tracemalloc.stop()
     assert outcome.status == "ok"
-    return peak, outcome.ledger.totals_by_purpose()[PURPOSE_DETECTOR]
+    return peak, outcome.queries[PURPOSE_DETECTOR]
 
 
 def test_cached_detector_answer_memory_is_pinned():
@@ -396,7 +396,7 @@ def test_rounds_that_keep_their_guess_sweep_no_pool(monkeypatch):
                             horizon=horizon)
     outcome = run_game(scenario, catalog())
     assert outcome.status == "ok"
-    assert outcome.ledger.totals_by_purpose()[PURPOSE_DETECTOR] == 120200
+    assert outcome.queries[PURPOSE_DETECTOR] == 120200
     assert sum(swept) <= 3 * horizon, (sum(swept), len(swept))
 
 
@@ -419,7 +419,7 @@ def test_catch_ups_walk_only_the_new_index_elements(monkeypatch):
                             horizon=horizon)
     outcome = run_game(scenario, catalog())
     assert outcome.status == "ok"
-    assert outcome.ledger.totals_by_purpose()[PURPOSE_DETECTOR] == 480400
+    assert outcome.queries[PURPOSE_DETECTOR] == 480400
     assert len(walked) >= horizon  # every round's catch-up goes through within
     assert sum(walked) <= 2 * horizon, (sum(walked), len(walked))
 
