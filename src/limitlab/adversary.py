@@ -168,10 +168,14 @@ class EnumerationStream:
                 "an enumeration of the empty language does not exist; "
                 "pick a nonempty target"
             )
-        self._next = _presentation(target, strategy).__next__
+        self._source = _presentation(target, strategy)
 
     def next(self) -> int:
-        return self._next()
+        return next(self._source)
+
+    def take(self, n: int) -> list[int]:
+        """The next n emissions, read from the same sequence as ``next``."""
+        return list(islice(self._source, n))
 
 
 class LabeledStream:
@@ -179,8 +183,13 @@ class LabeledStream:
 
     def __init__(self, target: Language, strategy: Strategy = Strategy()) -> None:
         self._member = target.member
-        self._next = _presentation(Language(modulus=1), strategy).__next__
+        self._source = _presentation(Language(modulus=1), strategy)
 
     def next(self) -> tuple[int, int]:
-        w = self._next()
+        w = next(self._source)
         return w, 1 if self._member(w) else 0
+
+    def take(self, n: int) -> tuple[list[int], list[int]]:
+        """The next n emissions as a column of elements and one of 0/1 labels."""
+        ws, member = list(islice(self._source, n)), self._member
+        return ws, [1 if member(w) else 0 for w in ws]

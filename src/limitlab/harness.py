@@ -64,6 +64,10 @@ SCENARIO_FIELDS = ("scenario_id", "collection", "target_index", "candidate", "ad
 # Scenario ids name output files, so they may not hold path separators.
 SCENARIO_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
+# Steps of the presentation run_game draws at once: no output feeds back
+# into it, and an interrupted run draws at most one block.
+STEP_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class GameScenario:
@@ -238,24 +242,28 @@ def run_game(
         else:
             algorithm = make_identifier(alg, collection, consistency)
 
-    next_item, step, begin_step = stream.next, algorithm.step, ledger.begin_step
-    items: list = []
+    ws, ys = [], ([] if alg == "negex" else None)
     outputs: list[int] = []
+    step, append, horizon = algorithm.step, outputs.append, scenario.horizon
     status = "ok"
     detail: Optional[str] = None
     try:
-        for t in range(1, scenario.horizon + 1):
-            begin_step(t)
-            item = next_item()
-            outputs.append(step(item))
-            items.append(item)
+        for start in range(1, horizon + 1, STEP_BLOCK):
+            n = min(STEP_BLOCK, horizon + 1 - start)
+            items = block = stream.take(n)
+            if ys is not None:
+                block, labels = items
+                ys += labels
+                items = zip(block, labels)
+            ws += block
+            ledger.open_steps(n)
+            for ledger.step, item in enumerate(items, start):
+                append(step(item))
     except Inapplicable as exc:
-        status = "inapplicable"
-        detail = str(exc)
-    if alg == "negex":
-        ws, ys = [w for w, _ in items], [y for _, y in items]
-    else:
-        ws, ys = items, None
+        status, detail = "inapplicable", str(exc)
+        del ws[len(outputs):]
+        if ys is not None:
+            del ys[len(outputs):]
     queries = ledger.totals_by_purpose()
     counts = ledger.take(len(outputs))
     final_state = algorithm.last_round if alg == "alg2" else None

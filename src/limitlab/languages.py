@@ -611,27 +611,30 @@ class QueryLedger:
     ``_counts[purpose][t]`` counts the fresh queries made for that purpose
     (one of ``PURPOSES``) during step t, and index 0 those made before the
     first step. ``begin_step`` appends a zero to every list, one game step
-    at a time. Every fresh query through a handle increments exactly one
-    counter; counters never decrease. ``per_step`` reads steps 1..step;
-    ``totals_by_purpose`` sums each list, index 0 included. ``take`` hands
-    the lists over as a transcript's count columns, so a run keeps each
-    step's counts once.
+    at a time, and refuses any other t. ``open_steps`` appends n zeros in
+    one call; ``run_game`` opens each drawn block with it, then advances
+    ``step`` through the block with one attribute store a step. Every
+    fresh query through a handle increments exactly one counter; counters
+    never decrease. ``per_step`` reads steps 1..step; ``totals_by_purpose``
+    sums each list, index 0 included. ``take`` hands the lists over as a
+    transcript's count columns, so a run keeps each step's counts once.
     """
 
-    __slots__ = ("step", "_counts", "_candidate", "_consistency", "_detector")
+    __slots__ = ("step", "_counts")
 
     def __init__(self) -> None:
         self.step = 0
-        lists = self._candidate, self._consistency, self._detector = [0], [0], [0]
-        self._counts: dict[str, list[int]] = dict(zip(PURPOSES, lists))
+        self._counts: dict[str, list[int]] = {purpose: [0] for purpose in PURPOSES}
 
     def begin_step(self, t: int) -> None:
         if t != self.step + 1:
             raise ConfigError(f"ledger steps advance one at a time, got {t} after {self.step}")
         self.step = t
-        self._candidate.append(0)
-        self._consistency.append(0)
-        self._detector.append(0)
+        self.open_steps(1)
+
+    def open_steps(self, n: int) -> None:
+        for counts in self._counts.values():
+            counts += [0] * n
 
     def record(self, purpose: str, n: int = 1) -> None:
         """Add n to the current step's counter for purpose: n fresh queries."""
@@ -639,7 +642,7 @@ class QueryLedger:
 
     def per_step(self, purpose: str) -> list[int]:
         """The counts of steps 1..step, in order."""
-        return self._counts[purpose][1:]
+        return self._counts[purpose][1:self.step + 1]
 
     def totals_by_purpose(self) -> dict[str, int]:
         return {p: sum(counts) for p, counts in self._counts.items()}

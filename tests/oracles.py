@@ -14,20 +14,33 @@ from __future__ import annotations
 import json
 import random
 from itertools import count, islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from limitlab import (
+    RNG_ALGORITHM,
+    CandidateOracle,
     CandidateSet,
     Collection,
     CollectionOracle,
+    EnumerationStream,
     GameScenario,
+    Inapplicable,
     LabeledStream,
     Language,
+    NegativeExampleDetector,
+    QueryLedger,
+    ReductionIdentifier,
     RunOutcome,
+    ScanDetector,
     Strategy,
+    Transcript,
+    analyze_stabilization,
     candidate_subset_of,
     language_subset,
 )
+from limitlab.harness import _scenario_fields, validate_scenario
+from limitlab.identifiers import make_identifier
+from limitlab.languages import PURPOSE_CONSISTENCY, PURPOSE_DETECTOR, PURPOSES
 
 
 def brute_decode_finite_set(index: int) -> tuple[int, ...]:
@@ -358,3 +371,59 @@ def reference_transcript_to_jsonl(outcome: RunOutcome) -> str:
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def stepwise_run_game(scenario: GameScenario, collections: Mapping[str, Collection]) -> RunOutcome:
+    """``run_game`` one step at a time: each step opens its ledger slot
+    with ``begin_step``, then reads one emission through ``next``."""
+    collection = validate_scenario(scenario, collections)
+    target = collection.language(scenario.target_index)
+    alg = scenario.algorithm
+    ledger = QueryLedger()
+    consistency = CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY, cached=False)
+    detector = CollectionOracle(collection, ledger, PURPOSE_DETECTOR, cached=alg == "alg2")
+    candidate = scenario.candidate
+    ground_truth = None if candidate is None else candidate_subset_of(candidate, target)
+    if alg == "negex":
+        stream = LabeledStream(target, scenario.strategy)
+        algorithm = NegativeExampleDetector(CandidateOracle(candidate, ledger, cached=False))
+    else:
+        stream = EnumerationStream(target, scenario.strategy)
+        if alg == "alg1":
+            algorithm = ScanDetector(
+                make_identifier(scenario.identifier, collection, consistency),
+                CandidateOracle(candidate, ledger, cached=True).member,
+                detector,
+            )
+        elif alg == "alg2":
+            algorithm = ReductionIdentifier(collection, scenario.identifier, detector,
+                                            consistency, fresh_copies=scenario.fresh_copies)
+        else:
+            algorithm = make_identifier(alg, collection, consistency)
+    items, outputs, status, detail = [], [], "ok", None
+    try:
+        for t in range(1, scenario.horizon + 1):
+            ledger.begin_step(t)
+            item = stream.next()
+            outputs.append(algorithm.step(item))
+            items.append(item)
+    except Inapplicable as exc:
+        status, detail = "inapplicable", str(exc)
+    if alg == "negex":
+        ws, ys = [w for w, _ in items], [y for _, y in items]
+    else:
+        ws, ys = items, None
+    queries = ledger.totals_by_purpose()
+    counts = [ledger.per_step(purpose)[:len(outputs)] for purpose in PURPOSES]
+    final_state = algorithm.last_round if alg == "alg2" else None
+    transcript = Transcript(_scenario_fields(scenario, rng_algorithm=RNG_ALGORITHM),
+                            range(1, len(outputs) + 1), ws, ys, outputs, *counts, final_state)
+    report = None
+    if status == "ok":
+        if ground_truth is not None:
+            report = analyze_stabilization(outputs, lambda v: v == int(ground_truth))
+        else:
+            k = scenario.target_index
+            report = analyze_stabilization(outputs, lambda g: collection.equals(g, k))
+    return RunOutcome(scenario=scenario, status=status, transcript=transcript, report=report,
+                      queries=queries, ground_truth_subset=ground_truth, detail=detail)

@@ -164,6 +164,54 @@ def test_seeded_streams_match_randrange_and_shuffle(strategy, target, seed):
     assert labeled == [(w, int(target.member(w))) for w in domain]
 
 
+# One seeded strategy of each kind, over one target from each catalog collection.
+EVERY_STRATEGY = [Strategy("canonical"),
+                  Strategy("repeat_heavy", seed=5, repeat_num=2, repeat_den=3),
+                  Strategy("block_shuffle", seed=5, block_growth=3),
+                  Strategy("delay_pattern", period=2)]
+CATALOG_TARGETS = [pytest.param(collection.language(5), id=name)
+                   for name, collection in CATALOG.items()]
+BLOCK_SIZES = (1, 7, 1024, 7, 1)
+
+
+def joined(stream_type, blocks):
+    """Concatenate ``take`` results; a labeled block is a (ws, ys) pair of columns."""
+    if stream_type is EnumerationStream:
+        return [x for block in blocks for x in block]
+    return [pair for ws, ys in blocks for pair in zip(ws, ys)]
+
+
+@pytest.mark.parametrize("stream_type", [EnumerationStream, LabeledStream])
+@pytest.mark.parametrize("strategy", EVERY_STRATEGY, ids=lambda s: s.name)
+@pytest.mark.parametrize("target", CATALOG_TARGETS)
+def test_blocks_read_the_sequence_next_reads(stream_type, strategy, target):
+    by_block, by_next = stream_type(target, strategy), stream_type(target, strategy)
+    blocks = [by_block.take(n) for n in BLOCK_SIZES]
+    assert joined(stream_type, blocks) == take(by_next, sum(BLOCK_SIZES))
+
+
+@pytest.mark.parametrize("stream_type", [EnumerationStream, LabeledStream])
+@pytest.mark.parametrize("strategy", EVERY_STRATEGY, ids=lambda s: s.name)
+@pytest.mark.parametrize("target", CATALOG_TARGETS)
+def test_take_and_next_interleave_on_one_sequence(stream_type, strategy, target):
+    mixed, by_next = stream_type(target, strategy), stream_type(target, strategy)
+    read = []
+    for n in BLOCK_SIZES:
+        read += joined(stream_type, [mixed.take(n)])
+        read.append(mixed.next())
+    assert read == take(by_next, sum(BLOCK_SIZES) + len(BLOCK_SIZES))
+
+
+@pytest.mark.parametrize("strategy", EVERY_STRATEGY, ids=lambda s: s.name)
+@pytest.mark.parametrize("target", CATALOG_TARGETS)
+def test_labeled_blocks_label_membership_with_ints(strategy, target):
+    ws, ys = LabeledStream(target, strategy).take(300)
+    assert len(ws) == len(ys) == 300
+    assert all(type(y) is int for y in ys)
+    assert ys == [1 if target.member(w) else 0 for w in ws]
+    assert set(ys) == {0, 1}
+
+
 def test_strategy_validation():
     with pytest.raises(ConfigError):
         Strategy("repeat_heavy", repeat_num=2, repeat_den=2)

@@ -14,7 +14,6 @@ from limitlab import (
     EnumerationStream,
     GameScenario,
     Inapplicable,
-    LabeledStream,
     Language,
     QueryLedger,
     StepRecord,
@@ -44,6 +43,7 @@ from limitlab import (
 )
 from limitlab import cli, harness
 from limitlab.harness import (
+    STEP_BLOCK,
     VERDICT_INCONCLUSIVE,
     VERDICT_SATISFIED,
     VERDICT_VIOLATION,
@@ -51,7 +51,7 @@ from limitlab.harness import (
     proper_subset_index,
     proper_superset_index,
 )
-from limitlab.languages import PURPOSE_CANDIDATE, PURPOSE_CONSISTENCY, PURPOSE_DETECTOR
+from limitlab.languages import PURPOSE_CANDIDATE, PURPOSE_CONSISTENCY, PURPOSE_DETECTOR, PURPOSES
 
 from tests.oracles import (
     KeyRecordingOracle,
@@ -59,6 +59,7 @@ from tests.oracles import (
     candidate_members_upto,
     language_members_upto,
     reference_transcript_to_jsonl,
+    stepwise_run_game,
 )
 from tests.test_cli import with_field
 from tests.test_golden import corpus
@@ -861,32 +862,147 @@ COLUMN_CASES = [
 ]
 
 
-def giving_out_at(next_item, stop):
-    """A stream step that raises Inapplicable on its ``stop``-th call."""
-    calls = [0]
-
-    def wrapped(stream):
-        calls[0] += 1
-        if calls[0] == stop:
-            raise Inapplicable("the stream gives out")
-        return next_item(stream)
-    return wrapped
+# The name in harness through which run_game builds each algorithm.
+ALGORITHM_FACTORIES = {"negex": "NegativeExampleDetector", "alg1": "ScanDetector",
+                      "alg2": "ReductionIdentifier"}
 
 
-@pytest.mark.parametrize("stop", [None, 1, 7], ids=["completed", "stop1", "stop7"])
-@pytest.mark.parametrize("scenario", COLUMN_CASES, ids=lambda s: s.scenario_id)
+class GivingOut:
+    """An algorithm whose ``stop``-th step does its work, then raises
+    Inapplicable, as an identifier meeting an index with no tell-tale does."""
+
+    def __init__(self, algorithm, stop):
+        self.algorithm, self.stop, self.calls = algorithm, stop, 0
+
+    def step(self, item):
+        output = self.algorithm.step(item)
+        self.calls += 1
+        if self.calls == self.stop:
+            raise Inapplicable("the algorithm gives out")
+        return output
+
+    def __getattr__(self, name):  # alg2's last_round
+        return getattr(self.algorithm, name)
+
+
+# A stop in the second block lengthens the run past it; alg2's fresh
+# copies rebuild a detector per index each round, too slow at that horizon.
+STOPS = {"completed": None, "stop1": 1, "stop7": 7, "stop-block2": STEP_BLOCK + 7}
+STOP_CASES = [pytest.param(scenario, stop, id=f"{scenario.scenario_id}-{label}")
+              for label, stop in STOPS.items() for scenario in COLUMN_CASES
+              if label != "stop-block2" or not scenario.fresh_copies]
+
+
+@pytest.mark.parametrize("scenario, stop", STOP_CASES)
 def test_count_columns_hold_exactly_the_completed_steps(monkeypatch, scenario, stop):
     # Transcript.rows and transcript_chunks stop at the shortest column,
     # so a column one entry too long or too short shows only here. The
-    # stream giving out interrupts a step that begin_step has opened.
+    # algorithm giving out interrupts a step whose ledger slot is open.
     if stop is not None:
-        for stream in (EnumerationStream, LabeledStream):
-            monkeypatch.setattr(stream, "next", giving_out_at(stream.next, stop))
+        name = ALGORITHM_FACTORIES.get(scenario.algorithm, "make_identifier")
+        build = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *args, **kwargs: GivingOut(
+            build(*args, **kwargs), stop))
+        scenario = replace(scenario, horizon=max(scenario.horizon, stop + 1))
     outcome = run_game(scenario, CATALOG)
     transcript = outcome.transcript
     assert len(transcript.output) == (scenario.horizon if stop is None else stop - 1)
-    for name in COUNT_COLUMNS:
+    columns = COUNT_COLUMNS + (("w", "y") if scenario.algorithm == "negex" else ("w",))
+    for name in columns:
         assert len(getattr(transcript, name)) == len(transcript.output), name
+    for purpose, name in zip(PURPOSES, COUNT_COLUMNS):
+        assert sum(getattr(transcript, name)) <= outcome.queries[purpose], name
+
+
+# Horizons just short of, at and past one block, and inside a third one.
+BLOCK_HORIZONS = (STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 2 * STEP_BLOCK + 7)
+BLOCK_GAMES = [
+    GameScenario("block-negex", "multiples", 2, "negex",
+                 candidate=language_candidate(MULTIPLES, 3)),
+    GameScenario("block-alg1", "finite_prefixes", 4, "alg1", identifier="consistency_min",
+                 candidate=language_candidate(PREFIXES, 6)),
+    GameScenario("block-telltale", "multiples", 6, "telltale"),
+    GameScenario("block-consistency_min", "finite_plus_all", 3, "consistency_min"),
+    GameScenario("block-alg2", "multiples", 4, "alg2", identifier="telltale"),
+]
+BLOCK_STRATEGIES = [Strategy("canonical"), Strategy("repeat_heavy", seed=3),
+                    Strategy("block_shuffle", seed=3, block_growth=2),
+                    Strategy("delay_pattern", period=3)]
+
+
+@pytest.mark.parametrize("strategy", BLOCK_STRATEGIES, ids=lambda s: s.name)
+@pytest.mark.parametrize("game", BLOCK_GAMES, ids=lambda s: s.scenario_id)
+def test_block_draws_match_the_stepwise_loop(game, strategy):
+    for horizon in BLOCK_HORIZONS:
+        scenario = replace(game, strategy=strategy, horizon=horizon)
+        outcome, reference = run_game(scenario, CATALOG), stepwise_run_game(scenario, CATALOG)
+        assert outcome.status == reference.status == "ok"
+        assert transcript_to_jsonl(outcome) == transcript_to_jsonl(reference), horizon
+        assert outcome.report == reference.report
+        assert outcome.queries == reference.queries
+
+
+# Multiples with no tell-tale at index 1030: a tell-tale identifier stops
+# in the second block.
+LATE_GAP = STEP_BLOCK + 6
+GAPPED_LATE = Collection(
+    id="gapped_late",
+    family=lambda i: Language(modulus=i),
+    telltale=lambda i: None if i == LATE_GAP else (i,),
+)
+
+
+def test_an_interruption_in_the_second_block_keeps_the_completed_steps(monkeypatch):
+    ledgers: list[LoggingLedger] = []
+    monkeypatch.setattr(harness, "QueryLedger", lambda: ledgers.append(LoggingLedger())
+                        or ledgers[-1])
+    collections = dict(CATALOG, gapped_late=GAPPED_LATE)
+    scenario = GameScenario("block-gapped", "gapped_late", 2, "telltale",
+                            horizon=2 * STEP_BLOCK + 7)
+    outcome = run_game(scenario, collections)
+    reference = stepwise_run_game(scenario, collections)
+    assert outcome.status == reference.status == "inapplicable"
+    assert outcome.detail == reference.detail
+    assert transcript_to_jsonl(outcome) == transcript_to_jsonl(reference)
+    assert outcome.queries == reference.queries
+    (ledger,) = ledgers
+    completed = LATE_GAP - 1
+    assert ledger.step == LATE_GAP
+    by_step = Counter()
+    for t, purpose, n in ledger.log:
+        by_step[t, purpose] += n
+    assert by_step[LATE_GAP, PURPOSE_CONSISTENCY] > 0
+    for purpose, name in zip(PURPOSES, COUNT_COLUMNS):
+        column = getattr(outcome.transcript, name)
+        assert column == [by_step[t, purpose] for t in range(1, completed + 1)], name
+        # The totals hold the queries before step 1 and in the interrupted step.
+        assert outcome.queries[purpose] == (sum(column) + by_step[0, purpose]
+                                            + by_step[LATE_GAP, purpose]), name
+
+
+def test_an_inapplicable_run_draws_at_most_one_block(monkeypatch):
+    # telltale on finite_plus_all stops at step 1 (L_1, the whole domain, has
+    # no tell-tale): however long the horizon, the run draws and opens one block.
+    drawn, opened = [], []
+    take, open_steps = EnumerationStream.take, QueryLedger.open_steps
+
+    def counted_take(stream, n):
+        block = take(stream, n)
+        drawn.append(len(block))
+        return block
+
+    def counted_open_steps(ledger, n):
+        opened.append(n)
+        open_steps(ledger, n)
+
+    monkeypatch.setattr(EnumerationStream, "take", counted_take)
+    monkeypatch.setattr(QueryLedger, "open_steps", counted_open_steps)
+    scenario = GameScenario("cost-guard", "finite_plus_all", 3, "telltale", horizon=10**6)
+    outcome = run_game(scenario, CATALOG)
+    assert outcome.status == "inapplicable"
+    assert len(outcome.transcript.output) == 0
+    assert sum(drawn) <= STEP_BLOCK < scenario.horizon
+    assert sum(opened) <= STEP_BLOCK
 
 
 ONE_STORE_HORIZON = 300
