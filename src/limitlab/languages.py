@@ -669,10 +669,10 @@ class CollectionOracle:
     is a consistency filter: many indices asked about one element in one
     call. ``sweep`` is alg2's pool scan: many indices asked about one run.
 
-    Under a watermark W (``share``), an index i <= W in neither ``_outside``
-    (the caller's set; it only grows) nor ``_exceptions`` has asked exactly
-    1..W: ``_ask`` makes it an exception at ``_upto[i] = W`` before marking
-    more, and ``advance`` asks all such indices about W + 1 in one count.
+    Under a watermark W (``share``), 1..W splits into three disjoint sets: ``_outside``
+    (the caller's; it only grows), ``_exceptions`` and the shared rest. A shared index
+    has asked exactly 1..W: ``_ask`` makes it an exception at ``_upto[i] = W`` before
+    marking more, and ``advance`` asks all of them about W + 1 in one count.
     """
 
     __slots__ = ("collection", "_languages", "_ledger", "_purpose", "_upto", "_above",
@@ -791,21 +791,22 @@ class CollectionOracle:
         self._upto.update(dict.fromkeys(filterfalse(unshared.__contains__, range(1, w + 1)), w))
         self._watermark, self._outside = watermark, outside
         self._exceptions = {i for i, p in self._upto.items() if p > watermark}.union(self._above)
+        self._exceptions -= outside
 
     def advance(self, guess: int, holders: Iterable[int]) -> list[int]:
         """``sweep`` of the indices 1..W outside ``_outside`` under ``guess`` over {W + 1},
         with ``holders`` from ``Collection.holders_below(W + 1)``; W then moves on."""
         outside, exceptions, x = self._outside, self._exceptions, self._watermark + 1
         fresh = self._ask(guess, x, x)
-        loose = [i for i in exceptions if i not in outside]
-        # outside lies in 1..x, the exceptions in 1..x-1: the rest is shared, and all fresh
-        fresh += x - 1 - len(outside) + (x in outside) - len(loose)
-        fresh += sum([self._ask(i, x, x) for i in loose])
+        # outside is in 1..x, the exceptions apart from it in 1..x-1; the shared rest is all fresh
+        fresh += x - 1 - len(outside) + (x in outside) - len(exceptions)
+        fresh += sum([self._ask(i, x, x) for i in exceptions])
         in_guess = (self._languages.get(guess) or self.collection.language(guess)).member(x)
         violators = [] if in_guess else [i for i in holders if i not in outside]
-        # a shared violator has asked 1..x; it leaves the shared set as outside grows
+        # a shared violator has asked 1..x; every violator goes outside as the caller adds it
         self._upto.update(dict.fromkeys(filterfalse(exceptions.__contains__, violators), x))
-        if x in self._above:
+        exceptions.difference_update(violators)
+        if x in self._above and x not in outside:
             exceptions.add(x)
         self._watermark = x
         self._ledger.record(self._purpose, fresh)

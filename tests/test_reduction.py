@@ -342,6 +342,14 @@ ALL_AT_2 = Collection(
     telltale=lambda i: (10**6,) if i == 2 else (i,),
     holders_below=lambda x: (2,) if x > 2 else (),
 )
+# L_1 = {1, 2, 3}, L_2 = {1, 2, 3, 4, 10}, and L_i = {i + 100} otherwise.
+LOW_SETS = Collection(
+    id="low_sets",
+    family=lambda i: Language(elements=(1, 2, 3) if i == 1 else (1, 2, 3, 4, 10) if i == 2
+                              else (i + 100,)),
+    telltale=lambda i: (1,) if i <= 2 else (i + 100,),
+    holders_below=lambda x: [i for i in range(1, x) if LOW_SETS.language(i).member(x)],
+)
 
 
 @pytest.mark.parametrize(
@@ -364,9 +372,18 @@ ALL_AT_2 = Collection(
         # 2, is shared under guess 3 and asked up to 4 by fast round 4. The
         # returning guess 1 does not sweep it, so only the flush records key 4.
         (PREFIXES, [2, 3, 3, 1, 7, 4]),
+        # Tape guesses 1 (five rounds), then 2: the tape asks index 2 about
+        # element 3 in round 2, above the watermark, so index 2 is an exception
+        # when fast round 4 finds 4 in L_2 but not in L_1. Left an exception,
+        # it would be asked the phantom key 5 in fast round 5, and the sweep
+        # under guess 2 would bill one key short in round 6.
+        (LOW_SETS, [1, 3, 2, 1, 1, 4, 10, 1]),
+        # The same with one more fast round under 1: two phantom keys, and
+        # the sweep under guess 2 two keys short in round 7.
+        (LOW_SETS, [1, 3, 2, 1, 1, 1, 4, 10]),
     ],
     ids=["asked_past_the_round", "violated_in_a_fast_round", "swept_while_shared",
-         "flushed_unswept"],
+         "flushed_unswept", "violated_exception", "violated_exception_twice"],
 )
 def test_watermark_corners_bill_what_fresh_copies_bill(collection, prefix):
     fresh, _, fresh_ledger, fresh_rounds = drive(collection, prefix, fresh_copies=True)
@@ -398,6 +415,35 @@ def test_rounds_that_keep_their_guess_sweep_no_pool(monkeypatch):
     assert outcome.status == "ok"
     assert outcome.queries[PURPOSE_DETECTOR] == 120200
     assert sum(swept) <= 3 * horizon, (sum(swept), len(swept))
+
+
+def test_fast_rounds_walk_only_their_exceptions(monkeypatch):
+    # Counted work, no clock: ``advance`` asks the shared indices in one
+    # count and walks only its exceptions, which never include an outside
+    # index. Exceptions that kept their outside indices walk 125.75 * H on
+    # the finite_sets k=6 consistency_min runs; the worst run walks 10.93 * H.
+    walked = [0]
+    advance = CollectionOracle.advance
+
+    def counting(oracle, guess, holders):
+        assert oracle._exceptions.isdisjoint(oracle._outside)
+        walked[0] += len(oracle._exceptions)
+        return advance(oracle, guess, holders)
+
+    monkeypatch.setattr(CollectionOracle, "advance", counting)
+    horizon = 1000
+    strategies = (*standard_strategies(1), Strategy("delay_pattern", period=2))
+    for cid in sorted(CATALOG):
+        for identifier in sorted(IDENTIFIERS):
+            if cid == "finite_plus_all" and identifier == "telltale":
+                continue  # the identifier is inapplicable there
+            for k in (1, 3, 6):
+                for strategy in strategies:
+                    walked[0] = 0
+                    scenario = GameScenario("guard", cid, k, "alg2", identifier=identifier,
+                                            strategy=strategy, horizon=horizon)
+                    assert run_game(scenario, CATALOG).status == "ok"
+                    assert walked[0] <= 16 * horizon, (cid, identifier, k, strategy, walked[0])
 
 
 def test_catch_ups_walk_only_the_new_index_elements(monkeypatch):
