@@ -163,11 +163,6 @@ class EnumerationStream:
     """Complete presentation of a target language, repetitions allowed."""
 
     def __init__(self, target: Language, strategy: Strategy = Strategy()) -> None:
-        if target.is_finite and not target.elements:
-            raise ConfigError(
-                "an enumeration of the empty language does not exist; "
-                "pick a nonempty target"
-            )
         self._source = _presentation(target, strategy)
 
     def next(self) -> int:

@@ -18,7 +18,7 @@ import json
 import re
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import islice, repeat
+from itertools import filterfalse, islice, repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -405,14 +405,7 @@ class AngluinCheckResult:
 
 def _strictness_element(lang: Language, witness: Language, element_bound: int) -> Optional[int]:
     """First element of ``lang`` outside ``witness`` with value <= element_bound."""
-    in_witness = witness.member
-    m = lang.modulus
-    for x in range(m, element_bound + 1, m) if m else lang.elements:
-        if x > element_bound:
-            return None
-        if not in_witness(x):
-            return x
-    return None
+    return next(filterfalse(witness.member, lang.within(1, element_bound)), None)
 
 
 def _proper_subset(collection: Collection, i: int, j: int) -> bool:
@@ -498,12 +491,11 @@ def replay_certificate(collection: Collection, result: AngluinCheckResult) -> bo
     if not in_i(e) or in_j(e):
         return False
     if witness_lang.is_finite:
-        return all(map(in_i, witness_lang.finite_elements()))
+        return all(map(in_i, witness_lang.elements))
     # Infinite witness language: lean on exact relations, then spot-check.
     if not language_subset(witness_lang, lang):
         return False
-    probe, _ = witness_lang.first_elements(32)
-    return all(map(in_i, probe))
+    return all(map(in_i, islice(witness_lang.listing(), 32)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,9 @@ class _IndexIdentifier:
     """Guess at step t: the least index i <= t whose tell-tale lies in
     the seen set and whose language contains every seen element, else 1.
 
-    An index whose tell-tale is still incomplete waits, filed under one
-    missing element, and is admitted when that element shows up.
+    An index whose tell-tale is still incomplete waits, filed by index
+    alone under one missing element. When that element shows up, its
+    tell-tale is read again, and it is admitted or filed anew.
     Subclasses give the tell-tale rule as ``_telltale(index)``.
     """
 
@@ -72,23 +73,23 @@ class _IndexIdentifier:
         self._collection = collection
         self.t = 0
         self._indices = ConsistentIndices(oracle)
-        # missing telltale element -> (index, telltale) pairs waiting on it
-        self._waiting: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        # missing telltale element -> the indices waiting on it
+        self._waiting: dict[int, list[int]] = {}
 
-    def _admit(self, index: int, telltale: tuple[int, ...]) -> None:
-        for element in telltale:
+    def _admit(self, index: int) -> None:
+        for element in self._telltale(index):
             if element not in self._indices.seen:
-                self._waiting.setdefault(element, []).append((index, telltale))
+                self._waiting.setdefault(element, []).append(index)
                 return
         self._indices.admit(index)
 
     def step(self, w: int) -> int:
         self.t += 1
         is_new = self._indices.see(w)
-        self._admit(self.t, self._telltale(self.t))
+        self._admit(self.t)
         if is_new:
-            for index, telltale in self._waiting.pop(w, ()):
-                self._admit(index, telltale)
+            for index in self._waiting.pop(w, ()):
+                self._admit(index)
         return self._indices.least()
 
 

@@ -66,6 +66,11 @@ def _index_error(i: object) -> ConfigError:
     return ConfigError(f"language indices are positive integers, got {i!r}")
 
 
+def _check_index(i: object) -> None:
+    if type(i) is not int or i < 1:
+        raise _index_error(i)
+
+
 def _check_element(x: int) -> None:
     if not isinstance(x, int) or isinstance(x, bool) or x < 1:
         raise ConfigError(f"domain elements are positive integers, got {x!r}")
@@ -154,7 +159,7 @@ class Language:
         if self.modulus:
             return count(self.modulus, self.modulus)
         if not self.elements:
-            raise ConfigError("the empty language has no listing")
+            raise ConfigError("the empty language has no listing; pick a nonempty target")
         return chain.from_iterable(repeat(self.elements))
 
     def describe(self) -> str:
@@ -169,7 +174,7 @@ class Language:
 
 def language_subset(a: Language, b: Language) -> bool:
     """Exact decision of a <= b using the closed language forms."""
-    if type(a._members) is range:
+    if type(a.elements) is range:
         return len(b.within(1, len(a.elements))) == len(a.elements)
     if a.is_finite:
         return all(b.member(x) for x in a.elements)
@@ -189,16 +194,16 @@ class Collection:
 
     ``family(i)`` yields the i-th language for any index i >= 1.
     ``language(i)`` validates the index, builds L_i on first use and keeps
-    it in ``_language_cache``, as ``member``, ``subset_of``, ``equals`` and
-    ``telltale`` do: games read their target, guesses and pooled indices
-    again and again. ``uncached_language(i)`` validates alike and returns
-    the kept L_i if there is one, but keeps nothing it builds: the checker
-    reads each witness that way, since no later check reads it again.
+    it in ``_language_cache``, as ``member``, ``subset_of`` and ``equals``
+    do: games read their target, guesses and pooled indices again and
+    again. ``uncached_language(i)`` validates alike and returns the kept
+    L_i if there is one, but keeps nothing it builds: the checker reads
+    each witness that way, since no later check reads it again.
     ``subset_of(i, j)`` decides L_i <= L_j and ``equals(i, j)`` decides
     L_i == L_j, both exactly and from the languages' closed forms.
     ``telltale(i)`` yields a finite subset of L_i that certifies it
     against proper subsets within the family, or None when no such set
-    is available for that index.
+    is available for that index; it validates i alike and builds no L_i.
 
     ``finite_telltale_violation(i, T)`` is the optional closed-form
     search used by the harness checker: it returns an index j with
@@ -233,8 +238,7 @@ class Collection:
 
     def uncached_language(self, i: int) -> Language:
         """L_i as kept, or built and not kept, for a language read once."""
-        if type(i) is not int or i < 1:
-            raise _index_error(i)
+        _check_index(i)
         return self._language_cache.get(i) or self._family(i)
 
     def member(self, i: int, x: int) -> bool:
@@ -249,7 +253,7 @@ class Collection:
 
     def telltale(self, i: int) -> Optional[tuple[int, ...]]:
         """Tell-tale for index i, or None when missing for this index."""
-        self.language(i)  # validate the index
+        _check_index(i)
         return self._telltale(i)
 
 
@@ -526,15 +530,13 @@ def candidate_subset_of(candidate: CandidateSet, target: Language) -> bool:
         if not target.member(x):
             return False
     core = candidate.core
-    if type(core._members) is range:
+    if type(core.elements) is range:
         # {1..n} minus a finite set: the minus must hold every element outside the target
         n = len(core.elements)
         outside = sum(x <= n and not target.member(x) for x in candidate.minus)
         return outside == n - len(target.within(1, n))
     if core.is_finite:
-        return all(
-            target.member(x) for x in core.finite_elements() if x not in candidate.minus
-        )
+        return all(target.member(x) for x in core.elements if x not in candidate.minus)
     # An infinite core leaks infinitely many elements past any finite minus,
     # so the finite edits cannot rescue a failed language-level inclusion.
     return language_subset(core, target)

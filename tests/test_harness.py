@@ -522,15 +522,16 @@ def test_checker_closed_form_matches_bounded_search_on_small_indices():
 
 def test_strictness_element_matches_brute_force():
     # Bounds 1 and 2 lie below most multiples languages' moduli, and most
-    # finite languages here end below bounds 64 and 512.
-    for collection in CATALOG.values():
-        for i in range(1, 33):
-            for j in range(1, 65):
-                for bound in (1, 2, 7, 64, 512):
-                    expected = brute_strictness_element(collection, i, j, bound)
-                    got = harness._strictness_element(
-                        collection.language(i), collection.language(j), bound)
-                    assert got == expected, (collection.id, i, j, bound)
+    # finite languages here end below bounds 64 and 512. The prefixes
+    # {1..10^6} and {1..10^12} end far above every bound.
+    cases = [(c, i, j) for c in CATALOG.values() for i in range(1, 33) for j in range(1, 65)]
+    cases += [(CATALOG["finite_prefixes"], i, j) for i in (10**6, 10**12) for j in range(1, 9)]
+    for collection, i, j in cases:
+        for bound in (1, 2, 7, 64, 512):
+            expected = brute_strictness_element(collection, i, j, bound)
+            got = harness._strictness_element(
+                collection.language(i), collection.language(j), bound)
+            assert got == expected, (collection.id, i, j, bound)
 
 
 def test_checker_requires_a_telltale():

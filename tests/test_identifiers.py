@@ -125,6 +125,19 @@ def test_missing_telltale_reports_inapplicable():
         identifier.step(3)
 
 
+def test_telltale_identification_builds_only_the_languages_it_reads():
+    # multiples k=2, canonical: each even index is admitted at once, and
+    # each odd index waits forever for its odd tell-tale, unbuilt.
+    horizon, multiples = 2000, catalog()["multiples"]
+    prefix = take(EnumerationStream(multiples.language(2)), horizon)
+    guesses, identifier, _ = drive(TelltaleIdentifier, multiples, prefix)
+    assert guesses[-1] == 2
+    assert len(multiples._language_cache) <= horizon // 2 + 2
+    assert identifier._waiting
+    for waiting in identifier._waiting.values():
+        assert type(waiting) is list and all(type(index) is int for index in waiting)
+
+
 def test_guess_sequence_is_a_function_of_the_prefix():
     prefix = take(EnumerationStream(MULTIPLES.language(3), Strategy("repeat_heavy", seed=4)), 50)
     first, _, _ = drive(TelltaleIdentifier, MULTIPLES, prefix)

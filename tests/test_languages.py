@@ -265,6 +265,17 @@ def test_uncached_language_validates_like_language(index, warm):
 
 
 @pytest.mark.parametrize("collection", list(CATALOG.values()), ids=list(CATALOG))
+def test_telltale_validates_the_index_and_builds_no_language(collection):
+    fresh = catalog()[collection.id]
+    kept = fresh.language(3)
+    for index in (0, -1, True, 2.0, "3"):
+        with pytest.raises(ConfigError, match="language indices are positive integers"):
+            fresh.telltale(index)
+    assert fresh.telltale(7) == collection.telltale(7)
+    assert fresh._language_cache == {3: kept}
+
+
+@pytest.mark.parametrize("collection", list(CATALOG.values()), ids=list(CATALOG))
 def test_uncached_language_reads_what_is_kept_and_keeps_nothing(collection):
     fresh = catalog()[collection.id]
     kept = fresh.language(3)
