@@ -24,8 +24,9 @@ class ConsistentIndices:
     """Seen elements, and the admitted indices whose language holds them all.
 
     ``alive`` lists the survivors in ascending order. ``admit`` vets an
-    index against the seen elements once; ``see`` checks survivors only
-    against a newly seen element, in one ``CollectionOracle.holders`` call.
+    index against the seen elements once, in first-sight order up to the
+    first miss, in one ``CollectionOracle.holds_all`` call; ``see`` checks
+    survivors only against a newly seen element, in one ``holders`` call.
     Consistency is antitone in the seen set, which only grows, so a dropped
     index never returns. In round t the survivors lie below t and at most t
     elements have been seen, so seeing w and admitting t cost at most
@@ -48,15 +49,9 @@ class ConsistentIndices:
         return True
 
     def admit(self, index: int) -> None:
-        member = self._oracle.member
-        for x in self.seen:
-            if not member(index, x):
-                return
-        # a tell-tale index admitted late can lie below the survivors
-        insort(self.alive, index)
-
-    def least(self) -> int:
-        return self.alive[0] if self.alive else 1
+        if self._oracle.holds_all(index, self.seen):
+            # a tell-tale index admitted late can lie below the survivors
+            insort(self.alive, index)
 
 
 class _IndexIdentifier:
@@ -64,52 +59,60 @@ class _IndexIdentifier:
     the seen set and whose language contains every seen element, else 1.
 
     An index whose tell-tale is still incomplete waits, filed by index
-    alone under one missing element. When that element shows up, its
-    tell-tale is read again, and it is admitted or filed anew.
-    Subclasses give the tell-tale rule as ``_telltale(index)``.
+    alone under one missing element: a lone waiter as its int, more as a
+    list. When that element shows up, its tell-tale is read again, and it
+    is admitted or filed anew.
     """
 
     def __init__(self, collection: Collection, oracle: CollectionOracle) -> None:
         self._collection = collection
+        # every index it reads is a step count, so it skips ``telltale``'s index check
+        self._telltale = collection._telltale
         self.t = 0
         self._indices = ConsistentIndices(oracle)
-        # missing telltale element -> the indices waiting on it
-        self._waiting: dict[int, list[int]] = {}
+        # missing tell-tale element -> the index waiting on it, or the list of them
+        self._waiting: dict[int, int | list[int]] = {}
 
     def _admit(self, index: int) -> None:
-        for element in self._telltale(index):
-            if element not in self._indices.seen:
-                self._waiting.setdefault(element, []).append(index)
+        telltale = self._telltale(index)
+        if telltale is None:
+            raise Inapplicable(
+                f"collection {self._collection.id!r} has no tell-tale for index {index}"
+            )
+        seen = self._indices.seen
+        for element in telltale:
+            if element not in seen:
+                others = self._waiting.get(element)
+                if type(others) is list:
+                    others.append(index)
+                else:
+                    self._waiting[element] = index if others is None else [others, index]
                 return
         self._indices.admit(index)
 
     def step(self, w: int) -> int:
-        self.t += 1
-        is_new = self._indices.see(w)
-        self._admit(self.t)
+        t = self.t = self.t + 1
+        indices, admit = self._indices, self._admit
+        is_new = indices.see(w)
+        admit(t)
         if is_new:
-            for index in self._waiting.pop(w, ()):
-                self._admit(index)
-        return self._indices.least()
+            waiting = self._waiting.pop(w, ())
+            for index in (waiting,) if type(waiting) is int else waiting:
+                admit(index)
+        alive = indices.alive
+        return alive[0] if alive else 1
 
 
 class TelltaleIdentifier(_IndexIdentifier):
     """Identification by enumeration over tell-tale certified candidates."""
 
-    def _telltale(self, index: int) -> tuple[int, ...]:
-        telltale = self._collection.telltale(index)
-        if telltale is None:
-            raise Inapplicable(
-                f"collection {self._collection.id!r} has no tell-tale for index {index}"
-            )
-        return telltale
-
 
 class ConsistencyMinIdentifier(_IndexIdentifier):
     """Guess the least in-range index consistent with everything seen."""
 
-    def _telltale(self, index: int) -> tuple[int, ...]:
-        return ()
+    def __init__(self, collection: Collection, oracle: CollectionOracle) -> None:
+        super().__init__(collection, oracle)
+        self._admit = self._indices.admit  # every tell-tale is empty
 
 
 IDENTIFIERS = {"telltale": TelltaleIdentifier, "consistency_min": ConsistencyMinIdentifier}

@@ -668,8 +668,9 @@ class CollectionOracle:
     it, so this grows linearly with the horizon. Only alg2's shared
     detector handle can repeat a key: consistency sets and alg1's sweep
     ask each key once, so ``run_game`` builds theirs uncached. ``holders``
-    is a consistency filter: many indices asked about one element in one
-    call. ``sweep`` is alg2's pool scan: many indices asked about one run.
+    is a consistency filter: many indices asked about one element in one call;
+    ``holds_all`` an admission: one index asked about many elements, up to the
+    first miss. ``sweep`` is alg2's pool scan: many indices asked about one run.
 
     Under a watermark W (``share``), 1..W splits into three disjoint sets: ``_outside``
     (the caller's; it only grows), ``_exceptions`` and the shared rest. A shared index
@@ -716,6 +717,29 @@ class CollectionOracle:
                 held.append(i)
         ask = self._ask
         fresh = len(indices) if self._upto is None else sum([ask(i, x, x) for i in indices])
+        if fresh:
+            self._ledger.record(self._purpose, fresh)
+        return held
+
+    def holds_all(self, i: int, xs: Iterable[int]) -> bool:
+        """Whether L_i holds all of ``xs``: ``member(i, x)`` of each x in order, up to and
+        including the first miss, billed in one ledger call; a call that raises bills nothing."""
+        if type(i) is not int:
+            raise _index_error(i)
+        member = (self._languages.get(i) or self.collection.language(i)).member
+        held, asked = True, []
+        for x in xs:
+            if type(x) is not int or x < 1:
+                _check_element(x)
+            asked.append(x)
+            if not member(x):
+                held = False
+                break
+        fresh = len(asked)
+        if self._upto is not None:
+            fresh = 0
+            for x in asked:
+                fresh += self._ask(i, x, x)
         if fresh:
             self._ledger.record(self._purpose, fresh)
         return held

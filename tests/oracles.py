@@ -252,12 +252,24 @@ def negex_expected_t_star(
     return first_any, least_step
 
 
+class LoggingLedger(QueryLedger):
+    """A ``QueryLedger`` that also logs each record call as (step, purpose, n)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log: list[tuple[int, str, int]] = []
+
+    def record(self, purpose: str, n: int = 1) -> None:
+        self.log.append((self.step, purpose, n))
+        super().record(purpose, n)
+
+
 class KeyRecordingOracle(CollectionOracle):
     """A ``CollectionOracle`` that fails on a repeated (index, element)
     key under an uncached handle. There every call is a fresh query, so
     a repeated key would count one membership answer twice; ``keys``
-    holds the keys an uncached handle was asked through ``member`` or
-    ``holders``."""
+    holds the keys an uncached handle was asked through ``member``,
+    ``holders`` or ``holds_all``."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -280,15 +292,22 @@ class KeyRecordingOracle(CollectionOracle):
             self._record(i, x)
         return super().holders(indices, x)
 
+    def holds_all(self, i: int, xs) -> bool:
+        for x in xs:
+            self._record(i, x)
+            if not self.collection.member(i, x):
+                break
+        return super().holds_all(i, xs)
+
 
 class AnswerCacheOracle:
     """The cached detector handle as a per-key answer cache.
 
     Every asked (index, element) key is stored with its answer, in
     per-index rows; a key missing from its row is a fresh query, billed
-    under ``purpose``. ``holders`` and ``sweep`` are the literal per-key
-    ``member`` loops; a sweep asks L_guess about every x in ``xs``, then
-    each index in turn.
+    under ``purpose``. ``holders``, ``holds_all`` and ``sweep`` are the
+    literal per-key ``member`` loops; a sweep asks L_guess about every x
+    in ``xs``, then each index in turn.
     """
 
     def __init__(self, collection: Collection, ledger, purpose: str) -> None:
@@ -310,6 +329,9 @@ class AnswerCacheOracle:
 
     def holders(self, indices, x: int) -> list[int]:
         return [i for i in indices if self.member(i, x)]
+
+    def holds_all(self, i: int, xs) -> bool:
+        return all(self.member(i, x) for x in xs)
 
     def sweep(self, indices, guess: int, xs: range) -> list[int]:
         for x in xs:

@@ -55,6 +55,7 @@ from limitlab.languages import PURPOSE_CANDIDATE, PURPOSE_CONSISTENCY, PURPOSE_D
 
 from tests.oracles import (
     KeyRecordingOracle,
+    LoggingLedger,
     brute_strictness_element,
     candidate_members_upto,
     language_members_upto,
@@ -793,18 +794,6 @@ LEDGER_ROW_CASES = [
 
 
 COUNT_COLUMNS = ("fresh_candidate", "fresh_consistency", "fresh_detector")
-
-
-class LoggingLedger(QueryLedger):
-    """A ``QueryLedger`` that also logs each record call as (step, purpose, n)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.log: list[tuple[int, str, int]] = []
-
-    def record(self, purpose: str, n: int = 1) -> None:
-        self.log.append((self.step, purpose, n))
-        super().record(purpose, n)
 
 
 @pytest.mark.parametrize("scenario", LEDGER_ROW_CASES, ids=lambda s: s.scenario_id)

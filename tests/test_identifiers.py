@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from limitlab import (
     Collection,
     CollectionOracle,
+    ConfigError,
     ConsistencyMinIdentifier,
     EnumerationStream,
     GameScenario,
@@ -20,7 +21,7 @@ from limitlab.harness import identification_grid
 from limitlab.identifiers import ConsistentIndices
 from limitlab.languages import PURPOSE_CONSISTENCY, PURPOSE_DETECTOR
 
-from tests.oracles import rule_consistency_guesses, rule_telltale_guesses, take
+from tests.oracles import LoggingLedger, rule_consistency_guesses, rule_telltale_guesses, take
 
 CATALOG = catalog()
 MULTIPLES = CATALOG["multiples"]
@@ -133,9 +134,14 @@ def test_telltale_identification_builds_only_the_languages_it_reads():
     guesses, identifier, _ = drive(TelltaleIdentifier, multiples, prefix)
     assert guesses[-1] == 2
     assert len(multiples._language_cache) <= horizon // 2 + 2
-    assert identifier._waiting
+    # every waiting index is an int, filed under exactly one element: a lone
+    # waiter as the int itself, more as a list of them
+    filed = []
     for waiting in identifier._waiting.values():
-        assert type(waiting) is list and all(type(index) is int for index in waiting)
+        assert type(waiting) is int or type(waiting) is list and len(waiting) > 1
+        filed.extend([waiting] if type(waiting) is int else waiting)
+    assert all(type(index) is int for index in filed)
+    assert sorted(filed) == list(range(1, horizon, 2))
 
 
 def test_guess_sequence_is_a_function_of_the_prefix():
@@ -277,3 +283,47 @@ def test_seeing_an_element_asks_the_survivors_in_one_call(monkeypatch):
     outcome = run_game(scenario, CATALOG)
     assert outcome.queries[PURPOSE_CONSISTENCY] > 1000
     assert member_calls_in_see[0] == 0
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_admitting_an_index_asks_the_seen_set_in_one_call(monkeypatch, cached):
+    # Multiples, seen 6, 9, 4, 12 in that order: L_3 misses 4, L_2 misses 9, L_1
+    # holds all. Admission asks the seen elements in first-sight order, up to and
+    # including the first miss, and bills them in one record call; a cached
+    # handle bills only the keys it had not been asked.
+    asked: list[tuple[int, int]] = []
+    member = Language.member
+
+    def logging_member(self, x):
+        asked.append((self.modulus, x))
+        return member(self, x)
+
+    ledger = LoggingLedger()
+    ledger.begin_step(1)
+    oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_CONSISTENCY, cached=cached)
+    indices = ConsistentIndices(oracle)
+    for w in (6, 9, 4, 12):
+        indices.see(w)
+    assert ledger.log == [] and indices.alive == []
+    oracle.member(3, 9)
+    ledger.log.clear()
+    monkeypatch.setattr(Language, "member", logging_member)
+    for index in (3, 2, 1):
+        indices.admit(index)
+    assert asked == [(3, 6), (3, 9), (3, 4), (2, 6), (2, 9), (1, 6), (1, 9), (1, 4), (1, 12)]
+    assert indices.alive == [1]
+    bills = [2, 2, 4] if cached else [3, 2, 4]  # cached: (3, 9) was asked before
+    assert ledger.log == [(1, PURPOSE_CONSISTENCY, n) for n in bills]
+    ledger.log.clear()
+    indices.admit(3)
+    assert ledger.log == ([] if cached else [(1, PURPOSE_CONSISTENCY, 3)])
+    # a bad index or element raises and bills nothing; a cached handle marks no key
+    for index, xs in ((0, [6]), (True, [6]), (3.0, [6]), ("3", [6]),
+                      (5, [10, 0]), (5, [10, 5.0]), (5, [10, True]), (5, [10, "5"])):
+        with pytest.raises(ConfigError):
+            oracle.holds_all(index, xs)
+    assert oracle.holds_all(5, [])  # asks nothing
+    assert ledger.log == ([] if cached else [(1, PURPOSE_CONSISTENCY, 3)])
+    ledger.log.clear()
+    oracle.member(5, 10)
+    assert ledger.log == [(1, PURPOSE_CONSISTENCY, 1)]
