@@ -18,8 +18,7 @@ import json
 import re
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import filterfalse, islice, repeat
-from operator import attrgetter
+from itertools import chain, filterfalse, islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import RNG_ALGORITHM, EnumerationStream, LabeledStream, Strategy
@@ -747,20 +746,34 @@ def scenario_from_config(
     return scenario
 
 
-# Step record templates, each with the Transcript columns its %d fields
-# take in order. Keys are in the order json.dumps(sort_keys=True) writes
-# them; reference_transcript_to_jsonl and the golden digests pin the bytes.
+# Per record shape: the head template and the Transcript columns it takes,
+# then the row template, whose %s takes the head (a record's leading fields,
+# which rarely change within a run), and its %d fields' columns. Keys are in
+# json.dumps(sort_keys=True) order; tests and golden digests pin the bytes.
 _QUERIES = ('{"fresh_candidate_queries": %d, "fresh_collection_queries_by_purpose": '
-            '{"consistency": %d, "detector": %d}, ')
-_COUNTS = ("fresh_candidate", "fresh_consistency", "fresh_detector")
+            '{"consistency": %d, "detector": ')
+_COUNTS = ("fresh_candidate", "fresh_consistency")
+_HEAD = (_QUERIES + "%d}, ", (*_COUNTS, "fresh_detector"))
 _STEP_FORMATS = {
-    **dict.fromkeys(ALGORITHM_PARAMS, (_QUERIES + '"guess": %d, "t": %d, "w": %d}\n',
-                                       attrgetter(*_COUNTS, "output", "t", "w"))),
-    "negex": (_QUERIES + '"t": %d, "verdict": %d, "w": %d, "y": %d}\n',
-              attrgetter(*_COUNTS, "t", "output", "w", "y")),
-    "alg1": (_QUERIES + '"t": %d, "verdict": %d, "w": %d}\n',
-             attrgetter(*_COUNTS, "t", "output", "w")),
+    **dict.fromkeys(ALGORITHM_PARAMS, (_HEAD[0] + '"guess": %d, ', (*_HEAD[1], "output"),
+                                       '%s"t": %d, "w": %d}\n', ("t", "w"))),
+    # pooled alg2's detector count grows with t, so its heads would rarely repeat
+    "alg2": (_QUERIES, _COUNTS, '%s%d}, "guess": %d, "t": %d, "w": %d}\n',
+             ("fresh_detector", "output", "t", "w")),
+    "negex": (*_HEAD, '%s"t": %d, "verdict": %d, "w": %d, "y": %d}\n', ("t", "output", "w", "y")),
+    "alg1": (*_HEAD, '%s"t": %d, "verdict": %d, "w": %d}\n', ("t", "output", "w")),
 }
+
+
+class _Heads(dict):
+    """Rendered heads by their column values, each rendered on first sight."""
+
+    def __init__(self, template: str):
+        self.template = template
+
+    def __missing__(self, key: tuple) -> str:
+        head = self[key] = self.template % key
+        return head
 
 
 # Step records rendered per chunk: about 150 kB of text.
@@ -768,15 +781,19 @@ TRANSCRIPT_CHUNK_ROWS = 1024
 
 
 def transcript_chunks(outcome: RunOutcome) -> Iterator[str]:
-    """The JSONL transcript in pieces of whole lines: the meta record, at
-    most ``TRANSCRIPT_CHUNK_ROWS`` step records each, and for reduction
-    runs a trailing final-round state record."""
-    template, step_columns = _STEP_FORMATS[outcome.scenario.algorithm]
-    yield json.dumps({"meta": outcome.transcript.meta}, sort_keys=True) + "\n"
-    rows = zip(*step_columns(outcome.transcript))
-    while chunk := "".join(map(template.__mod__, islice(rows, TRANSCRIPT_CHUNK_ROWS))):
-        yield chunk
-    state = outcome.transcript.final_state
+    """The JSONL transcript in pieces of whole lines: the meta record, at most
+    ``TRANSCRIPT_CHUNK_ROWS`` step records rendered by one ``%`` each, and
+    for reduction runs a trailing final-round state record."""
+    head_template, head_columns, template, columns = _STEP_FORMATS[outcome.scenario.algorithm]
+    transcript = outcome.transcript
+    yield json.dumps({"meta": transcript.meta}, sort_keys=True) + "\n"
+    heads = _Heads(head_template)
+    rows = zip(map(heads.__getitem__, zip(*[getattr(transcript, name) for name in head_columns])),
+               *[getattr(transcript, name) for name in columns])
+    while flat := tuple(chain.from_iterable(islice(rows, TRANSCRIPT_CHUNK_ROWS))):
+        heads.clear()  # a run whose heads never repeat would hold one per step
+        yield template * (len(flat) // (1 + len(columns))) % flat
+    state = transcript.final_state
     if state is not None:
         final_state = {name: getattr(state, name)
                        for name in ("t", "consistent", "accepted", "guess", "inapplicable")}

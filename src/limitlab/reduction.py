@@ -26,7 +26,6 @@ class RoundState:
 
     t: int
     consistent: tuple[int, ...]       # surviving consistent indices, ascending
-    verdicts: tuple[int, ...]         # detector bit for each index 1..t
     accepted: tuple[int, ...]         # consistent indices whose detector says 1
     guess: int
     inapplicable: tuple[int, ...]     # indices whose detector could not run
@@ -159,8 +158,7 @@ class ReductionIdentifier:
             return None
         consistent = tuple(self._consistent.alive)
         accepted = tuple(filterfalse(self._says_0.__contains__, consistent))
-        verdicts = tuple(int(i not in self._says_0) for i in range(1, self.t + 1))
         return RoundState(
-            t=self.t, consistent=consistent, verdicts=verdicts, accepted=accepted,
+            t=self.t, consistent=consistent, accepted=accepted,
             guess=accepted[0] if accepted else 1, inapplicable=tuple(sorted(self._inapplicable)),
         )

@@ -170,6 +170,23 @@ def sim_scan_verdicts(
     return verdicts
 
 
+def sim_round_verdicts(
+    collection: Collection, prefix: Sequence[int], inapplicable: Sequence[int] = ()
+) -> list[int]:
+    """Literal reduction round after ``prefix``: for each index i in 1..t,
+    the last verdict of a fresh literal tell-tale detector with L_i as the
+    candidate, or 0 when i is in ``inapplicable`` (its detector could not run)."""
+    applicable = [i for i in range(1, len(prefix) + 1) if i not in inapplicable]
+    # every detector's identifier sees the same prefix, so they share one guess list
+    guesses = rule_telltale_guesses(collection, prefix) if applicable else []
+    verdicts = [0] * len(prefix)
+    for i in applicable:
+        verdicts[i - 1] = sim_scan_verdicts(
+            collection, prefix, lambda x: collection.member(i, x), lambda *_: guesses
+        )[-1]
+    return verdicts
+
+
 def sim_reduction_guesses(collection: Collection, prefix: Sequence[int]) -> list[int]:
     """Literal reduction: per round, rebuild the consistent set and run a
     fresh literal detector for every index up to the round number."""

@@ -42,7 +42,12 @@ from limitlab.harness import (
 from limitlab.identifiers import make_identifier
 from limitlab.languages import PURPOSE_CONSISTENCY
 
-from tests.oracles import extensional_subset, least_escape, negex_expected_t_star
+from tests.oracles import (
+    extensional_subset,
+    least_escape,
+    negex_expected_t_star,
+    sim_round_verdicts,
+)
 
 CATALOG = catalog()
 
@@ -157,11 +162,12 @@ def test_criterion_3_roundtrip_identification():
                     horizon=50,
                 )
                 outcome = run_game(scenario, CATALOG)
-                runs[fresh] = (
-                    [row.output for row in outcome.transcript.rows],
-                    outcome.transcript.final_state.verdicts,
-                )
+                transcript = outcome.transcript
+                runs[fresh] = (transcript.output, transcript.final_state)
             assert runs[False] == runs[True], (cid, k, strategy.to_config())
+            state = transcript.final_state
+            verdicts = sim_round_verdicts(CATALOG[cid], transcript.w, state.inapplicable)
+            assert state.accepted == tuple(i for i in state.consistent if verdicts[i - 1] == 1)
 
 
 def test_criterion_4_consistency_query_bound():

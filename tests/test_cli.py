@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -310,10 +311,8 @@ def test_written_transcript_equals_transcript_to_jsonl(tmp_path, capsys, scenari
     assert written == transcript_to_jsonl(outcome).encode()
 
 
-def test_writing_a_transcript_holds_one_chunk_at_a_time(tmp_path, capsys):
-    scenario = GameScenario("long", "multiples", 2, "negex", candidate=MULTIPLES_3,
-                            horizon=10**5)
-    outcome = run_game(scenario, CATALOG)
+def written_peak(outcome, tmp_path):
+    """tracemalloc's peak while ``_emit_run`` writes ``outcome``, and its largest chunk."""
     chunk = max(map(len, transcript_chunks(outcome)))
     tracemalloc.start()
     try:
@@ -321,10 +320,33 @@ def test_writing_a_transcript_holds_one_chunk_at_a_time(tmp_path, capsys):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    size = (tmp_path / "long.transcript.jsonl").stat().st_size
+    size = (tmp_path / f"{outcome.scenario.scenario_id}.transcript.jsonl").stat().st_size
     assert size > 50 * chunk
-    # the chunk's rendered lines, the chunk and its encoded bytes
-    assert peak < 6 * chunk, (peak, chunk)
+    return peak, chunk
+
+
+LONG_SCENARIOS = [
+    GameScenario("long-negex", "multiples", 2, "negex", candidate=MULTIPLES_3, horizon=10**5),
+    GameScenario("long-telltale", "multiples", 2, "telltale", horizon=10**5),
+]
+
+
+def test_writing_a_transcript_holds_one_chunk_at_a_time(tmp_path, capsys):
+    for scenario in LONG_SCENARIOS:
+        peak, chunk = written_peak(run_game(scenario, CATALOG), tmp_path)
+        # the chunk, its encoded bytes and its records' fields as one tuple
+        assert peak < 3 * chunk, (scenario.scenario_id, peak, chunk)
+
+
+def test_heads_that_never_repeat_are_held_one_chunk_at_a_time(tmp_path, capsys):
+    outcome = run_game(LONG_SCENARIOS[1], CATALOG)
+    # a new consistency count and guess at every step, so every record has a head of its own
+    horizon = len(outcome.transcript.output)
+    transcript = replace(outcome.transcript, fresh_consistency=list(range(horizon)),
+                         output=list(range(horizon, 2 * horizon)))
+    peak, chunk = written_peak(replace(outcome, transcript=transcript), tmp_path)
+    # a head table kept for the whole run held about 190 chunks here
+    assert peak < 4 * chunk, (peak, chunk)
 
 
 def test_unwritable_transcript_exits_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ import json
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import pytest
 
@@ -44,12 +44,14 @@ from limitlab import (
 from limitlab import cli, harness
 from limitlab.harness import (
     STEP_BLOCK,
+    TRANSCRIPT_CHUNK_ROWS,
     VERDICT_INCONCLUSIVE,
     VERDICT_SATISFIED,
     VERDICT_VIOLATION,
     least_nonmember,
     proper_subset_index,
     proper_superset_index,
+    transcript_chunks,
 )
 from limitlab.languages import PURPOSE_CANDIDATE, PURPOSE_CONSISTENCY, PURPOSE_DETECTOR, PURPOSES
 
@@ -768,6 +770,51 @@ def test_transcript_rows_match_reference_serializer(scenario):
                 # %d writes True as 1 where JSON writes true
                 assert type(value) is int, (name, value)
     assert transcript_to_jsonl(outcome) == reference_transcript_to_jsonl(outcome)
+
+
+# A run per record shape: an identifier's, alg2's, negex's and alg1's. On
+# finite_prefixes index 300 the guesses climb past 256, so an identifier's
+# heads and alg1's detector counts take a new multi-digit value at each of
+# the first 300 steps; pooled alg2's detector count grows with t.
+CHUNK_CASES = [
+    GameScenario("chunk-telltale", "finite_prefixes", 300, "telltale"),
+    GameScenario("chunk-consistency-min", "finite_prefixes", 300, "consistency_min",
+                 strategy=Strategy("repeat_heavy", seed=1)),
+    GameScenario("chunk-alg2", "multiples", 6, "alg2", identifier="telltale"),
+    GameScenario("chunk-negex", "multiples", 2, "negex",
+                 candidate=language_candidate(MULTIPLES, 3),
+                 strategy=Strategy("repeat_heavy", seed=4)),
+    GameScenario("chunk-alg1", "finite_prefixes", 300, "alg1", identifier="telltale",
+                 candidate=domain_candidate()),
+]
+
+
+@pytest.mark.parametrize("rows", [TRANSCRIPT_CHUNK_ROWS - 1, TRANSCRIPT_CHUNK_ROWS,
+                                  TRANSCRIPT_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("scenario", CHUNK_CASES, ids=lambda s: s.scenario_id)
+def test_chunks_around_a_chunk_boundary_match_reference_serializer(scenario, rows):
+    outcome = run_game(replace(scenario, horizon=rows), CATALOG)
+    transcript = outcome.transcript
+    assert outcome.status == "ok" and len(transcript.output) == rows
+    climbing = {v for v in transcript.output + transcript.fresh_detector if v > 256}
+    assert scenario.algorithm == "negex" or len(climbing) > 40
+    chunks = list(transcript_chunks(outcome))
+    steps = [TRANSCRIPT_CHUNK_ROWS] * (rows // TRANSCRIPT_CHUNK_ROWS)
+    steps += [rows % TRANSCRIPT_CHUNK_ROWS] * bool(rows % TRANSCRIPT_CHUNK_ROWS)
+    final = [1] * (scenario.algorithm == "alg2")
+    assert [chunk.count("\n") for chunk in chunks] == [1, *steps, *final]
+    assert "".join(chunks) == reference_transcript_to_jsonl(outcome)
+
+
+def test_chunk_generators_advanced_in_turn_render_their_own_runs():
+    # the head table belongs to one run: runs of every shape, one chunk each in turn
+    assert {case.algorithm for case in CHUNK_CASES} == set(harness.ALGORITHM_PARAMS)
+    outcomes = [run_game(replace(scenario, horizon=2 * TRANSCRIPT_CHUNK_ROWS + 7), CATALOG)
+                for scenario in CHUNK_CASES]
+    texts = [""] * len(outcomes)
+    for chunks in zip_longest(*map(transcript_chunks, outcomes), fillvalue=""):
+        texts = [text + chunk for text, chunk in zip(texts, chunks)]
+    assert texts == [reference_transcript_to_jsonl(outcome) for outcome in outcomes]
 
 
 # Multiples with no tell-tale at index 3, so a tell-tale identifier stops

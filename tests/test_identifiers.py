@@ -21,7 +21,13 @@ from limitlab.harness import identification_grid
 from limitlab.identifiers import ConsistentIndices
 from limitlab.languages import PURPOSE_CONSISTENCY, PURPOSE_DETECTOR
 
-from tests.oracles import LoggingLedger, rule_consistency_guesses, rule_telltale_guesses, take
+from tests.oracles import (
+    LoggingLedger,
+    rule_consistency_guesses,
+    rule_telltale_guesses,
+    sim_round_verdicts,
+    take,
+)
 
 CATALOG = catalog()
 MULTIPLES = CATALOG["multiples"]
@@ -236,7 +242,8 @@ def test_consistent_indices_stay_ascending_and_exact(collection, prefix):
         expected = brute_consistent(collection, seen, t)
         assert list(state.consistent) == reduction._consistent.alive == expected
         assert all(a < b for a, b in zip(state.consistent, state.consistent[1:]))
-        assert state.accepted == tuple(i for i in expected if state.verdicts[i - 1] == 1)
+        verdicts = sim_round_verdicts(collection, prefix[:t], state.inapplicable)
+        assert state.accepted == tuple(i for i in expected if verdicts[i - 1] == 1)
 
 
 def test_stabilization_grid_telltale_identifier():

@@ -31,6 +31,7 @@ from tests.oracles import (
     AnswerCacheOracle,
     assert_same_asked_keys,
     sim_reduction_guesses,
+    sim_round_verdicts,
     take,
 )
 
@@ -109,18 +110,20 @@ def test_last_round_is_built_from_the_completed_step(cid, fresh_copies):
     ledger = QueryLedger()
     reduction = build_reduction(collection, ledger, fresh_copies=fresh_copies)
     assert reduction.last_round is None
-    rounds = []
+    rounds, accepted = [], []
     for t, w in enumerate(prefix, start=1):
         ledger.begin_step(t)
         guess = reduction.step(w)
         state = reduction.last_round
         assert state == reduction.last_round
-        assert state.t == t and state.guess == guess and len(state.verdicts) == t
-        assert state.accepted == tuple(i for i in state.consistent if state.verdicts[i - 1] == 1)
+        assert state.t == t and state.guess == guess
+        verdicts = sim_round_verdicts(collection, prefix[:t], state.inapplicable)
+        accepted.append(tuple(i for i in state.consistent if verdicts[i - 1] == 1))
+        assert state.accepted == accepted[-1]
         rounds.append(state)
     # a state read earlier is not changed by the steps after it
     assert [state.t for state in rounds] == list(range(1, len(prefix) + 1))
-    assert all(len(state.verdicts) == state.t for state in rounds)
+    assert [state.accepted for state in rounds] == accepted
 
 
 def traced_alg2_peak(horizon):
@@ -167,7 +170,9 @@ def test_pool_matches_fresh_detector_spot_check():
     verdict = None
     for w in prefix:
         verdict = fresh.step(w)
-    assert reduction.last_round.verdicts[3 - 1] == verdict
+    assert sim_round_verdicts(PREFIXES, prefix)[3 - 1] == verdict
+    final = reduction.last_round
+    assert 3 in final.consistent and (3 in final.accepted) == (verdict == 1)
 
 
 def record_pool_paths(monkeypatch):
@@ -543,9 +548,11 @@ def test_partition_logic_at_the_final_round():
     z = final.guess
     assert MULTIPLES.equals(z, 6)
     consistent = set(final.consistent)
+    verdicts = sim_round_verdicts(MULTIPLES, prefix)
+    assert final.accepted == tuple(i for i in final.consistent if verdicts[i - 1] == 1)
     for i in range(1, z):
-        assert i not in consistent or final.verdicts[i - 1] == 0
-    assert z in consistent and final.verdicts[z - 1] == 1
+        assert i not in consistent or verdicts[i - 1] == 0
+    assert z in consistent and verdicts[z - 1] == 1
 
 
 def test_consistency_query_bound_2t_minus_1():
@@ -567,7 +574,8 @@ def test_inapplicable_inner_detectors_are_pinned_to_zero():
     assert guesses == [1] * 8
     final = reduction.last_round
     assert final.inapplicable == tuple(range(1, 9))
-    assert all(v == 0 for v in final.verdicts)
+    assert sim_round_verdicts(fpa, prefix, final.inapplicable) == [0] * 8
+    assert final.accepted == ()
 
 
 def test_run_game_wires_the_reduction():
