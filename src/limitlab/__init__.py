@@ -58,7 +58,6 @@ from .languages import (
     encode_finite_set,
     finite_candidate,
     language_candidate,
-    language_equal,
     language_subset,
     minus_candidate,
     union_candidate,

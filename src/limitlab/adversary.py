@@ -181,8 +181,8 @@ class LabeledStream:
         self._source = _presentation(Language(modulus=1), strategy)
 
     def next(self) -> tuple[int, int]:
-        w = next(self._source)
-        return w, 1 if self._member(w) else 0
+        (w,), (y,) = self.take(1)
+        return w, y
 
     def take(self, n: int) -> tuple[list[int], list[int]]:
         """The next n emissions as a column of elements and one of 0/1 labels."""

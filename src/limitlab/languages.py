@@ -181,10 +181,6 @@ def language_subset(a: Language, b: Language) -> bool:
     return not b.is_finite and a.modulus % b.modulus == 0
 
 
-def language_equal(a: Language, b: Language) -> bool:
-    return language_subset(a, b) and language_subset(b, a)
-
-
 # ---------------------------------------------------------------------------
 # Collections
 
@@ -249,7 +245,8 @@ class Collection:
         return language_subset(self.language(i), self.language(j))
 
     def equals(self, i: int, j: int) -> bool:
-        return language_equal(self.language(i), self.language(j))
+        a, b = self.language(i), self.language(j)
+        return language_subset(a, b) and language_subset(b, a)
 
     def telltale(self, i: int) -> Optional[tuple[int, ...]]:
         """Tell-tale for index i, or None when missing for this index."""
@@ -612,14 +609,13 @@ class QueryLedger:
 
     ``_counts[purpose][t]`` counts the fresh queries made for that purpose
     (one of ``PURPOSES``) during step t, and index 0 those made before the
-    first step. ``begin_step`` appends a zero to every list, one game step
-    at a time, and refuses any other t. ``open_steps`` appends n zeros in
-    one call; ``run_game`` opens each drawn block with it, then advances
-    ``step`` through the block with one attribute store a step. Every
-    fresh query through a handle increments exactly one counter; counters
-    never decrease. ``per_step`` reads steps 1..step; ``totals_by_purpose``
-    sums each list, index 0 included. ``take`` hands the lists over as a
-    transcript's count columns, so a run keeps each step's counts once.
+    first step. ``open_steps`` appends n zeros to every list in one call;
+    ``run_game`` opens each drawn block with it, then advances ``step``
+    through the block with one attribute store a step. Every fresh query
+    through a handle increments exactly one counter; counters never
+    decrease. ``totals_by_purpose`` sums each list, index 0 included.
+    ``take`` hands the lists over as a transcript's count columns, so a
+    run keeps each step's counts once.
     """
 
     __slots__ = ("step", "_counts")
@@ -628,12 +624,6 @@ class QueryLedger:
         self.step = 0
         self._counts: dict[str, list[int]] = {purpose: [0] for purpose in PURPOSES}
 
-    def begin_step(self, t: int) -> None:
-        if t != self.step + 1:
-            raise ConfigError(f"ledger steps advance one at a time, got {t} after {self.step}")
-        self.step = t
-        self.open_steps(1)
-
     def open_steps(self, n: int) -> None:
         for counts in self._counts.values():
             counts += [0] * n
@@ -641,10 +631,6 @@ class QueryLedger:
     def record(self, purpose: str, n: int = 1) -> None:
         """Add n to the current step's counter for purpose: n fresh queries."""
         self._counts[purpose][self.step] += n
-
-    def per_step(self, purpose: str) -> list[int]:
-        """The counts of steps 1..step, in order."""
-        return self._counts[purpose][1:self.step + 1]
 
     def totals_by_purpose(self) -> dict[str, int]:
         return {p: sum(counts) for p, counts in self._counts.items()}
@@ -670,7 +656,8 @@ class CollectionOracle:
     ask each key once, so ``run_game`` builds theirs uncached. ``holders``
     is a consistency filter: many indices asked about one element in one call;
     ``holds_all`` an admission: one index asked about many elements, up to the
-    first miss. ``sweep`` is alg2's pool scan: many indices asked about one run.
+    first miss, and ``member`` is one of one key. ``sweep`` is alg2's pool scan: many
+    indices asked about one run.
 
     Under a watermark W (``share``), 1..W splits into three disjoint sets: ``_outside``
     (the caller's; it only grows), ``_exceptions`` and the shared rest. A shared index
@@ -694,15 +681,7 @@ class CollectionOracle:
         self._watermark, self._outside, self._exceptions = 0, set(), set()
 
     def member(self, i: int, x: int) -> bool:
-        # True and 1.0 equal 1, 2.0 equals 2: unchecked, they would alias int keys.
-        if type(i) is not int:
-            raise _index_error(i)
-        if type(x) is not int or x < 1:
-            _check_element(x)
-        value = (self._languages.get(i) or self.collection.language(i)).member(x)
-        if self._upto is None or self._ask(i, x, x):
-            self._ledger.record(self._purpose)
-        return value
+        return self.holds_all(i, (x,))
 
     def holders(self, indices: Sequence[int], x: int) -> list[int]:
         """The indices, in order, whose language holds x: ``member(i, x)`` of
@@ -722,8 +701,9 @@ class CollectionOracle:
         return held
 
     def holds_all(self, i: int, xs: Iterable[int]) -> bool:
-        """Whether L_i holds all of ``xs``: ``member(i, x)`` of each x in order, up to and
-        including the first miss, billed in one ledger call; a call that raises bills nothing."""
+        """Whether L_i holds all of ``xs``: each key (i, x) asked in order, up to and including
+        the first miss, billed in one ledger call; a call that raises bills nothing."""
+        # True and 1.0 equal 1, 2.0 equals 2: unchecked, they would alias int keys.
         if type(i) is not int:
             raise _index_error(i)
         member = (self._languages.get(i) or self.collection.language(i)).member

@@ -85,7 +85,7 @@ class ReductionIdentifier:
         self._fresh_copies = fresh_copies
         self.t = 0
         self._prefix: list[int] = []           # fresh copies replay it
-        self._pool = range(0)                  # 1..t while pooled; only bench/tracing.py reads it
+        self._pool = range(0)                  # 1..t while pooled; a dying tape makes it inapplicable
         # the pool's one identifier; None under fresh copies or once it raised Inapplicable
         self._tape = None if fresh_copies else self._new_identifier()
         self._last_guessed: dict[int, int] = {}  # tape guess -> last step with it

@@ -11,6 +11,7 @@ stored answer per asked key.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from itertools import count, islice
@@ -269,6 +270,12 @@ def negex_expected_t_star(
     return first_any, least_step
 
 
+def ledger_columns(ledger: QueryLedger) -> dict[str, list[int]]:
+    """Steps 1..step's fresh counts by purpose: the columns ``take`` cuts,
+    cut from a copy so that ``ledger`` can go on counting."""
+    return dict(zip(PURPOSES, copy.deepcopy(ledger).take(ledger.step)))
+
+
 class LoggingLedger(QueryLedger):
     """A ``QueryLedger`` that also logs each record call as (step, purpose, n)."""
 
@@ -300,21 +307,20 @@ class KeyRecordingOracle(CollectionOracle):
                 raise AssertionError(f"uncached {self._purpose} handle asked {key} twice")
             self.keys.add(key)
 
-    def member(self, i: int, x: int) -> bool:
-        self._record(i, x)
-        return super().member(i, x)
-
     def holders(self, indices, x: int) -> list[int]:
         for i in indices:
             self._record(i, x)
         return super().holders(indices, x)
 
     def holds_all(self, i: int, xs) -> bool:
+        # ``member`` asks through here too; the keys go on as a list, so xs is walked once
+        asked = []
         for x in xs:
             self._record(i, x)
+            asked.append(x)
             if not self.collection.member(i, x):
                 break
-        return super().holds_all(i, xs)
+        return super().holds_all(i, asked)
 
 
 class AnswerCacheOracle:
@@ -414,7 +420,8 @@ def reference_transcript_to_jsonl(outcome: RunOutcome) -> str:
 
 def stepwise_run_game(scenario: GameScenario, collections: Mapping[str, Collection]) -> RunOutcome:
     """``run_game`` one step at a time: each step opens its ledger slot
-    with ``begin_step``, then reads one emission through ``next``."""
+    with ``open_steps(1)`` and the ``step`` store, then reads one emission
+    through ``next``; ``take`` cuts the count columns, as in ``run_game``."""
     collection = validate_scenario(scenario, collections)
     target = collection.language(scenario.target_index)
     alg = scenario.algorithm
@@ -442,7 +449,8 @@ def stepwise_run_game(scenario: GameScenario, collections: Mapping[str, Collecti
     items, outputs, status, detail = [], [], "ok", None
     try:
         for t in range(1, scenario.horizon + 1):
-            ledger.begin_step(t)
+            ledger.open_steps(1)
+            ledger.step = t
             item = stream.next()
             outputs.append(algorithm.step(item))
             items.append(item)
@@ -453,7 +461,7 @@ def stepwise_run_game(scenario: GameScenario, collections: Mapping[str, Collecti
     else:
         ws, ys = items, None
     queries = ledger.totals_by_purpose()
-    counts = [ledger.per_step(purpose)[:len(outputs)] for purpose in PURPOSES]
+    counts = ledger.take(len(outputs))
     final_state = algorithm.last_round if alg == "alg2" else None
     transcript = Transcript(_scenario_fields(scenario, rng_algorithm=RNG_ALGORITHM),
                             range(1, len(outputs) + 1), ws, ys, outputs, *counts, final_state)

@@ -306,8 +306,9 @@ def test_criterion_7_determinism_and_monotonicity():
             )
             stream = EnumerationStream(collection.language(k), Strategy("repeat_heavy", seed=3))
             dropped: set = set()
+            ledger.open_steps(120)
             for t in range(1, 121):
-                ledger.begin_step(t)
+                ledger.step = t
                 reduction.step(stream.next())
                 current = set(reduction.last_round.consistent)
                 assert not (dropped & current)

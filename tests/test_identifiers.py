@@ -40,8 +40,8 @@ def drive(identifier_cls, collection, prefix):
     oracle = CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY)
     identifier = identifier_cls(collection, oracle)
     guesses = []
-    for t, w in enumerate(prefix, start=1):
-        ledger.begin_step(t)
+    ledger.open_steps(len(prefix))
+    for ledger.step, w in enumerate(prefix, start=1):
         guesses.append(identifier.step(w))
     return guesses, identifier, ledger
 
@@ -127,7 +127,6 @@ def test_missing_telltale_reports_inapplicable():
     ledger = QueryLedger()
     fpa = CATALOG["finite_plus_all"]
     identifier = TelltaleIdentifier(fpa, CollectionOracle(fpa, ledger, PURPOSE_CONSISTENCY))
-    ledger.begin_step(1)
     with pytest.raises(Inapplicable):
         identifier.step(3)
 
@@ -162,8 +161,8 @@ def test_seen_set_is_monotone():
     ledger = QueryLedger()
     identifier = TelltaleIdentifier(PREFIXES, CollectionOracle(PREFIXES, ledger, PURPOSE_CONSISTENCY))
     previous = frozenset()
-    for t, w in enumerate(prefix, start=1):
-        ledger.begin_step(t)
+    ledger.open_steps(len(prefix))
+    for ledger.step, w in enumerate(prefix, start=1):
         identifier.step(w)
         seen = frozenset(identifier._indices.seen)
         assert previous <= seen
@@ -228,8 +227,9 @@ def test_consistent_indices_stay_ascending_and_exact(collection, prefix):
         CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY),
     )
     seen = set()
+    ledger.open_steps(len(prefix))
     for t, w in enumerate(prefix, start=1):
-        ledger.begin_step(t)
+        ledger.step = t
         seen.add(w)
         for cls, identifier in identifiers.items():
             guess = identifier.step(w)
@@ -306,7 +306,8 @@ def test_admitting_an_index_asks_the_seen_set_in_one_call(monkeypatch, cached):
         return member(self, x)
 
     ledger = LoggingLedger()
-    ledger.begin_step(1)
+    ledger.open_steps(1)
+    ledger.step = 1
     oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_CONSISTENCY, cached=cached)
     indices = ConsistentIndices(oracle)
     for w in (6, 9, 4, 12):

@@ -318,13 +318,12 @@ def test_collection_oracle_refuses_non_int_elements(element, cached):
 def test_candidate_oracle_refuses_non_int_elements(element, cached):
     # Unchecked, a cached handle would answer 2.0 from key 2's entry without billing it.
     ledger = QueryLedger()
-    ledger.begin_step(1)
     oracle = CandidateOracle(language_candidate(MULTIPLES, 2), ledger, cached=cached)
     assert oracle.member(2) is True
     message = f"domain elements are positive integers, got {element!r}"
     with pytest.raises(ConfigError, match=re.escape(message)):
         oracle.member(element)
-    assert ledger.per_step(PURPOSE_CANDIDATE) == [1]
+    assert ledger.totals_by_purpose()[PURPOSE_CANDIDATE] == 1
 
 
 def detector_handles(collection):
@@ -375,10 +374,8 @@ def test_sweep_matches_per_key_member_calls(cid, indices, guess, start, length, 
     for i, x in warm:
         kernel.member(i, x)
         reference.member(i, x)
-    ledger.begin_step(1)
-    reference.ledger.begin_step(1)
+    assert ledger.totals_by_purpose() == reference.ledger.totals_by_purpose()
     assert kernel.sweep(indices, guess, xs) == reference.sweep(indices, guess, xs)
-    assert ledger.per_step(PURPOSE_DETECTOR) == reference.ledger.per_step(PURPOSE_DETECTOR)
     assert ledger.totals_by_purpose() == reference.ledger.totals_by_purpose()
     # the same keys asked, with the same answers
     assert_same_asked_keys(kernel, ledger, reference, {*indices, guess, *(i for i, _ in warm)},
@@ -407,9 +404,7 @@ _ORACLE_CALLS = st.lists(
 def test_member_and_sweep_sequences_match_the_per_key_cache(cid, calls):
     oracle, ledger, reference = detector_handles(CATALOG[cid])
     elements = set(range(1, 31))
-    for t, call in enumerate(calls, start=1):
-        ledger.begin_step(t)
-        reference.ledger.begin_step(t)
+    for call in calls:
         if call[0] == "member":
             _, i, x = call
             elements.add(x)
@@ -425,8 +420,8 @@ def test_member_and_sweep_sequences_match_the_per_key_cache(cid, calls):
             xs = range(start, start + length)
             elements.update(xs)
             assert oracle.sweep(indices, guess, xs) == reference.sweep(indices, guess, xs)
-        assert ledger.per_step(PURPOSE_DETECTOR) == reference.ledger.per_step(PURPOSE_DETECTOR)
-    assert ledger.totals_by_purpose() == reference.ledger.totals_by_purpose()
+        # equal after every call: each call bills the same count on both handles
+        assert ledger.totals_by_purpose() == reference.ledger.totals_by_purpose()
     assert_same_asked_keys(oracle, ledger, reference, range(1, 9), sorted(elements))
 
 
@@ -529,7 +524,6 @@ def test_keys_taken_into_the_prefix_leave_no_state_above_it():
 def test_sweep_records_its_fresh_queries_in_one_call(monkeypatch):
     ledger = QueryLedger()
     oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_DETECTOR)
-    ledger.begin_step(1)
     oracle.member(2, 2)
     calls = []
     record = QueryLedger.record
@@ -538,7 +532,7 @@ def test_sweep_records_its_fresh_queries_in_one_call(monkeypatch):
     assert oracle.sweep([2, 3], 2, range(1, 5)) == [3]
     # asked: (2, 1..4) less the warm (2, 2), then (3, 1..3)
     assert calls == [(ledger, PURPOSE_DETECTOR, 6)]
-    assert ledger.per_step(PURPOSE_DETECTOR)[0] == 1 + 6
+    assert ledger.totals_by_purpose()[PURPOSE_DETECTOR] == 1 + 6
 
 
 @settings(max_examples=100)
@@ -548,14 +542,13 @@ def test_uncached_holders_bill_every_index_in_one_call(cid, indices, x):
     collection = CATALOG[cid]
     ledger = QueryLedger()
     oracle = CollectionOracle(collection, ledger, PURPOSE_CONSISTENCY, cached=False)
-    ledger.begin_step(1)
     record, calls = QueryLedger.record, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(QueryLedger, "record", lambda *args: calls.append(args) or record(*args))
         held = oracle.holders(indices, x)
     assert held == [i for i in indices if collection.member(i, x)]
     assert calls == ([(ledger, PURPOSE_CONSISTENCY, len(indices))] if indices else [])
-    assert ledger.per_step(PURPOSE_CONSISTENCY) == [len(indices)]
+    assert ledger.totals_by_purpose()[PURPOSE_CONSISTENCY] == len(indices)
 
 
 @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
@@ -826,43 +819,41 @@ def test_candidate_config_validation():
 def test_ledger_counts_fresh_queries_only():
     ledger = QueryLedger()
     oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_CONSISTENCY)
-    ledger.begin_step(1)
+    ledger.open_steps(2)
+    ledger.step = 1
     oracle.member(2, 6)
     oracle.member(2, 6)  # cache hit, not fresh
     oracle.member(3, 6)
-    assert ledger.per_step(PURPOSE_CONSISTENCY)[0] == 2
-    ledger.begin_step(2)
+    ledger.step = 2
     oracle.member(2, 8)
-    assert ledger.per_step(PURPOSE_CONSISTENCY)[1] == 1
     assert ledger.totals_by_purpose()[PURPOSE_CONSISTENCY] == 3
     assert sum(ledger.totals_by_purpose().values()) == 3
+    assert dict(zip(PURPOSES, ledger.take(2)))[PURPOSE_CONSISTENCY] == [2, 1]
 
 
 def test_uncached_candidate_oracle_bills_every_call():
     ledger = QueryLedger()
-    ledger.begin_step(1)
     oracle = CandidateOracle(language_candidate(MULTIPLES, 3), ledger, cached=False)
     for _ in range(4):
         oracle.member(3)
-    assert ledger.per_step(PURPOSE_CANDIDATE)[0] == 4
+    assert ledger.totals_by_purpose()[PURPOSE_CANDIDATE] == 4
 
 
 def test_cached_false_answer_is_a_hit():
     ledger = QueryLedger()
-    ledger.begin_step(1)
     oracle = CollectionOracle(MULTIPLES, ledger, PURPOSE_CONSISTENCY)
     assert oracle.member(2, 5) is False
     assert oracle.member(2, 5) is False
-    assert ledger.per_step(PURPOSE_CONSISTENCY)[0] == 1
+    assert ledger.totals_by_purpose()[PURPOSE_CONSISTENCY] == 1
     candidate = language_candidate(MULTIPLES, 3)
     cached = CandidateOracle(candidate, ledger, cached=True)
     assert cached.member(4) is False
     assert cached.member(4) is False
-    assert ledger.per_step(PURPOSE_CANDIDATE)[0] == 1
+    assert ledger.totals_by_purpose()[PURPOSE_CANDIDATE] == 1
     uncached = CandidateOracle(candidate, ledger, cached=False)
     assert uncached.member(4) is False
     assert uncached.member(4) is False
-    assert ledger.per_step(PURPOSE_CANDIDATE)[0] == 3
+    assert ledger.totals_by_purpose()[PURPOSE_CANDIDATE] == 3
 
 
 @given(
@@ -873,9 +864,9 @@ def test_cached_false_answer_is_a_hit():
 )
 def test_ledger_completeness(plan):
     ledger = QueryLedger()
+    ledger.open_steps(len(plan))
     made = 0
-    for step, (purpose, count) in enumerate(plan, start=1):
-        ledger.begin_step(step)
+    for ledger.step, (purpose, count) in enumerate(plan, start=1):
         for _ in range(count):
             ledger.record(purpose)
             made += 1
@@ -886,8 +877,8 @@ def test_ledger_completeness(plan):
 def test_ledger_take_hands_over_steps_up_to_the_cut(cut):
     ledger = QueryLedger()
     ledger.record(PURPOSE_CONSISTENCY, 2)  # before step 1
-    for t, n in enumerate([1, 0, 3, 5], start=1):
-        ledger.begin_step(t)
+    ledger.open_steps(4)
+    for ledger.step, n in enumerate([1, 0, 3, 5], start=1):
         ledger.record(PURPOSE_DETECTOR, n)
         ledger.record(PURPOSE_CANDIDATE)
     totals = ledger.totals_by_purpose()
@@ -898,31 +889,25 @@ def test_ledger_take_hands_over_steps_up_to_the_cut(cut):
                        PURPOSE_DETECTOR: [1, 0, 3, 5][:cut]}
 
 
-def test_ledger_steps_advance_one_at_a_time():
-    ledger = QueryLedger()
-    ledger.begin_step(1)
-    with pytest.raises(ConfigError):
-        ledger.begin_step(3)
-
-
 @given(st.lists(st.lists(st.sampled_from(PURPOSES), max_size=6), max_size=25))
 def test_ledger_matches_a_counter_model(plan):
     # plan[t] lists the purposes recorded during step t; step 0 is before
-    # the first begin_step
+    # the first step opens
     ledger = QueryLedger()
     model: Counter = Counter()
     for t, purposes in enumerate(plan):
         if t:
-            ledger.begin_step(t)
+            ledger.open_steps(1)
+            ledger.step = t
         for purpose in purposes:
             ledger.record(purpose)
             model[(t, purpose)] += 1
     assert ledger.step == max(len(plan) - 1, 0)
-    for purpose in PURPOSES:
-        steps = ledger.per_step(purpose)
-        before_first = ledger.totals_by_purpose()[purpose] - sum(steps)
+    totals = ledger.totals_by_purpose()
+    assert sum(totals.values()) == sum(model.values())
+    by_purpose = {p: sum(n for (_, q), n in model.items() if q == p) for p in PURPOSES}
+    assert totals == by_purpose
+    for purpose, steps in zip(PURPOSES, ledger.take(ledger.step)):
+        before_first = totals[purpose] - sum(steps)
         expected = [model[(t, purpose)] for t in range(ledger.step + 1)]
         assert [before_first, *steps] == expected, purpose
-    assert sum(ledger.totals_by_purpose().values()) == sum(model.values())
-    by_purpose = {p: sum(n for (_, q), n in model.items() if q == p) for p in PURPOSES}
-    assert ledger.totals_by_purpose() == by_purpose

@@ -30,6 +30,7 @@ from limitlab.languages import PURPOSE_CONSISTENCY, PURPOSE_DETECTOR
 from tests.oracles import (
     AnswerCacheOracle,
     assert_same_asked_keys,
+    ledger_columns,
     sim_reduction_guesses,
     sim_round_verdicts,
     take,
@@ -64,8 +65,8 @@ def drive(collection, prefix, **kwargs):
     ledger = QueryLedger()
     reduction = build_reduction(collection, ledger, **kwargs)
     guesses, rounds = [], []
-    for t, w in enumerate(prefix, start=1):
-        ledger.begin_step(t)
+    ledger.open_steps(len(prefix))
+    for ledger.step, w in enumerate(prefix, start=1):
         guesses.append(reduction.step(w))
         rounds.append(reduction.last_round)
     return guesses, reduction, ledger, rounds
@@ -111,8 +112,9 @@ def test_last_round_is_built_from_the_completed_step(cid, fresh_copies):
     reduction = build_reduction(collection, ledger, fresh_copies=fresh_copies)
     assert reduction.last_round is None
     rounds, accepted = [], []
+    ledger.open_steps(len(prefix))
     for t, w in enumerate(prefix, start=1):
-        ledger.begin_step(t)
+        ledger.step = t
         guess = reduction.step(w)
         state = reduction.last_round
         assert state == reduction.last_round
@@ -258,8 +260,7 @@ def test_incremental_pool_agrees_with_fresh_copies(
     assert len(inc_rounds) == len(fresh_rounds) == len(prefix)
     for a, b in zip(inc_rounds, fresh_rounds):
         assert a == b  # bit-for-bit round dumps, verdict vectors included
-    for purpose in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
-        assert inc_ledger.per_step(purpose) == fresh_ledger.per_step(purpose), purpose
+    assert ledger_columns(inc_ledger) == ledger_columns(fresh_ledger)
     assert_asks_what_the_sweeps_ask(collection, prefix, identifier, reduction, inc_ledger)
 
 
@@ -282,8 +283,7 @@ def test_pool_bills_what_fresh_copies_bill(cid, k, strategy, identifier, horizon
     )
     assert pooled == fresh
     assert pooled_rounds == fresh_rounds
-    for purpose in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
-        assert pooled_ledger.per_step(purpose) == fresh_ledger.per_step(purpose), purpose
+    assert ledger_columns(pooled_ledger) == ledger_columns(fresh_ledger)
 
 
 def without_holders(collection):
@@ -303,10 +303,11 @@ def assert_asks_what_the_sweeps_ask(collection, prefix, identifier, reduction, l
         without_holders(collection), identifier, reference,
         CollectionOracle(collection, reference_ledger, PURPOSE_CONSISTENCY),
     )
-    for t, w in enumerate(prefix, start=1):
-        reference_ledger.begin_step(t)
+    reference_ledger.open_steps(len(prefix))
+    for reference_ledger.step, w in enumerate(prefix, start=1):
         literal.step(w)
-    assert reference_ledger.per_step(PURPOSE_DETECTOR) == ledger.per_step(PURPOSE_DETECTOR)
+    detector = ledger_columns(reference_ledger)[PURPOSE_DETECTOR]
+    assert detector == ledger_columns(ledger)[PURPOSE_DETECTOR]
     keys = range(1, len(prefix) + 3)
     assert_same_asked_keys(reduction._oracle, ledger, reference, keys, keys)
 
@@ -328,8 +329,7 @@ def test_fast_rounds_ask_the_keys_the_pool_sweep_asks(cid, k, strategy, identifi
     )
     assert fast == swept
     assert rounds == swept_rounds
-    for purpose in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
-        assert ledger.per_step(purpose) == swept_ledger.per_step(purpose), purpose
+    assert ledger_columns(ledger) == ledger_columns(swept_ledger)
     assert_asks_what_the_sweeps_ask(collection, prefix, identifier, reduction, ledger)
 
 
@@ -395,8 +395,7 @@ def test_watermark_corners_bill_what_fresh_copies_bill(collection, prefix):
     pooled, reduction, ledger, rounds = drive(collection, prefix)
     assert pooled == fresh
     assert rounds == fresh_rounds
-    for purpose in (PURPOSE_CONSISTENCY, PURPOSE_DETECTOR):
-        assert ledger.per_step(purpose) == fresh_ledger.per_step(purpose), purpose
+    assert ledger_columns(ledger) == ledger_columns(fresh_ledger)
     assert_asks_what_the_sweeps_ask(collection, prefix, "telltale", reduction, ledger)
 
 
@@ -561,9 +560,9 @@ def test_consistency_query_bound_2t_minus_1():
         ledger = QueryLedger()
         reduction = build_reduction(MULTIPLES, ledger)
         for t, w in enumerate(prefix, start=1):
-            ledger.begin_step(t)
+            before = ledger.totals_by_purpose()[PURPOSE_CONSISTENCY]
             reduction.step(w)
-            assert ledger.per_step(PURPOSE_CONSISTENCY)[t - 1] <= 2 * t - 1
+            assert ledger.totals_by_purpose()[PURPOSE_CONSISTENCY] - before <= 2 * t - 1
 
 
 def test_inapplicable_inner_detectors_are_pinned_to_zero():
