@@ -17,7 +17,6 @@ import io
 import json
 import re
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from itertools import chain, filterfalse, islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -368,7 +367,7 @@ DEFAULT_CHECK_BOUNDS = (64, 512)
 MAX_TELLTALE_ELEMENT = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AngluinCheckResult:
     """Outcome of the bounded tell-tale condition check.
 
@@ -452,13 +451,12 @@ def check_angluin(
                     f"telltale: element {x} is outside the index-{index} language"
                 )
 
-    result = partial(AngluinCheckResult, collection.id, index, elements,
-                     index_bound=index_bound, element_bound=element_bound)
     if collection.finite_telltale_violation is not None:
         method = "closed_form"
         witness = collection.finite_telltale_violation(index, frozenset(elements))
         if witness is None:
-            return result(VERDICT_SATISFIED, method=method)
+            return AngluinCheckResult(collection.id, index, elements, VERDICT_SATISFIED,
+                                      index_bound, element_bound, method)
         witnesses: Iterable = ((witness, collection.uncached_language(witness)),)
     else:
         method = "bounded_search"
@@ -469,9 +467,10 @@ def check_angluin(
     for j, lang_j in witnesses:
         strictness = _strictness_element(lang, lang_j, element_bound)
         if strictness is not None:
-            return result(VERDICT_VIOLATION, method=method,
-                          witness_index=j, strictness_element=strictness)
-    return result(VERDICT_INCONCLUSIVE, method=method)
+            return AngluinCheckResult(collection.id, index, elements, VERDICT_VIOLATION,
+                                      index_bound, element_bound, method, j, strictness)
+    return AngluinCheckResult(collection.id, index, elements, VERDICT_INCONCLUSIVE,
+                              index_bound, element_bound, method)
 
 
 def replay_certificate(collection: Collection, result: AngluinCheckResult) -> bool:

@@ -205,12 +205,13 @@ def test_roundtrip_refusal(tmp_path, capsys):
 def test_check_angluin_command(tmp_path, capsys):
     code, out, _ = run_cli(
         ["check-angluin", "--collection", "finite_plus_all", "--index", "1",
-         "--telltale", "1,2,3", "--bounds", "64,64", "--out", str(tmp_path)],
+         "--telltale", "1,2,3", "--bounds", "64,80", "--out", str(tmp_path)],
         capsys,
     )
     assert code == 0 and "violation_certified" in out
     payload = json.loads((tmp_path / "angluin-finite_plus_all-i1.json").read_text())
     assert payload["verdict"] == "violation_certified" and payload["replays"] is True
+    assert payload["bounds"] == {"index": 64, "element": 80}
 
     code, out, _ = run_cli(
         ["check-angluin", "--collection", "finite_prefixes", "--index", "5",

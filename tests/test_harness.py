@@ -3,7 +3,7 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import combinations, zip_longest
 
 import pytest
@@ -497,7 +497,9 @@ def test_checker_multiples_singleton_telltale_reported_satisfied():
 def test_checker_closed_form_matches_bounded_search_on_small_indices():
     # Strip the closed form off a catalog copy to force the generic search.
     # Tell-tales: the catalog's, and every subset of at most 3 of the
-    # first 5 elements of L_i.
+    # first 5 elements of L_i. Unequal bounds pin their order on every
+    # path a certificate is built on.
+    paths = set()
     for original in CATALOG.values():
         stripped = Collection(
             id=original.id,
@@ -509,11 +511,12 @@ def test_checker_closed_form_matches_bounded_search_on_small_indices():
             telltales = [None] if original.telltale(i) is not None else []
             telltales += [list(c) for r in range(4) for c in combinations(head, r)]
             for telltale in telltales:
-                exact = check_angluin(original, i, telltale=telltale, bounds=(256, 256))
-                searched = check_angluin(stripped, i, telltale=telltale, bounds=(256, 256))
+                exact = check_angluin(original, i, telltale=telltale, bounds=(256, 300))
+                searched = check_angluin(stripped, i, telltale=telltale, bounds=(256, 300))
                 assert (exact.method, searched.method) == ("closed_form", "bounded_search")
                 for result in (exact, searched):
-                    assert (result.index_bound, result.element_bound) == (256, 256)
+                    assert (result.index_bound, result.element_bound) == (256, 300)
+                    paths.add((result.method, result.verdict))
                 if exact.verdict == VERDICT_SATISFIED:
                     assert searched.verdict == VERDICT_INCONCLUSIVE
                 else:
@@ -521,6 +524,10 @@ def test_checker_closed_form_matches_bounded_search_on_small_indices():
                 for result in (exact, searched):
                     if result.verdict == VERDICT_VIOLATION:
                         assert replay_certificate(original, result), (original.id, i, telltale)
+    assert paths == {
+        ("closed_form", VERDICT_SATISFIED), ("closed_form", VERDICT_VIOLATION),
+        ("bounded_search", VERDICT_VIOLATION), ("bounded_search", VERDICT_INCONCLUSIVE),
+    }
 
 
 def test_strictness_element_matches_brute_force():
@@ -629,6 +636,31 @@ def test_forged_certificates_do_not_replay():
         assert replay_certificate(collection, forged) is False, forged
     with pytest.raises(ConfigError):
         replay_certificate(PREFIXES, check_angluin(PREFIXES, 5))
+
+
+def test_certificates_are_slotted_frozen_records():
+    original = CATALOG["finite_sets"]
+    searched = Collection(id="finite_sets_search", family=original.uncached_language,
+                          telltale=original.telltale)
+    results = [
+        check_angluin(PREFIXES, 5),
+        check_angluin(MULTIPLES, 2, telltale=[8]),
+        check_angluin(searched, 7, bounds=(4, 64)),
+    ]
+    assert [r.verdict for r in results] == [
+        VERDICT_SATISFIED, VERDICT_VIOLATION, VERDICT_INCONCLUSIVE
+    ]
+    for result in results:
+        assert not hasattr(result, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            result.witness_index = 3
+        copied = replace(result, element_bound=7)
+        assert not hasattr(copied, "__dict__")
+        assert copied.to_dict() == {**result.to_dict(), "bounds": {
+            "index": result.index_bound, "element": 7}}
+    forged = replace(results[1], strictness_element=3)  # 3 is not in L_2
+    assert replay_certificate(MULTIPLES, results[1]) is True
+    assert replay_certificate(MULTIPLES, forged) is False
 
 
 # ---------------------------------------------------------------------------
